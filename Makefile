@@ -5,12 +5,12 @@ GO ?= go
 # drops combined coverage below this.
 COVER_MIN ?= 70
 
-.PHONY: build test vet race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke clean
+.PHONY: build test vet race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke perfbenchtest clean
 
-# Packages carrying the host-perf microbenchmarks (cache access, vmm
-# translate, cpu issue loop, kernel syscall round-trip, app drive path,
-# open-loop replay + digest).
-BENCH_PKGS = ./internal/cache/ ./internal/vmm/ ./internal/cpu/ ./internal/kernel/ ./internal/apps/ ./internal/loadgen/ ./internal/staticflow/
+# Packages carrying the host-perf microbenchmarks (cache access, cpu issue
+# loop, kernel syscall round-trip, app drive path, open-loop replay +
+# digest, static verifier).
+BENCH_PKGS = ./internal/cache/ ./internal/cpu/ ./internal/kernel/ ./internal/apps/ ./internal/loadgen/ ./internal/staticflow/
 
 build:
 	$(GO) build ./...
@@ -47,8 +47,15 @@ cover:
 # bench layer against bit-rot without paying for real measurement) + a
 # deterministic benchmark-coverage diff against the committed perf
 # trajectory + end-to-end relative-security, tail-latency, and static-
-# verifier smokes.
-check: vet lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke
+# verifier smokes + the benchmark-of-record module's own tests.
+check: vet lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke perfbenchtest
+
+# perfbenchtest runs the tests of the perfbench module (the benchmark of
+# record, a separate Go module): they pin per-test LEBench cycles to
+# harness.Fig92Scheme and same-seed digests, so a simulator change that
+# would silently shift the benchmark fails here. About 40 s, offline.
+perfbenchtest:
+	cd perfbench && $(GO) test ./...
 
 # lockstepsmoke runs the bounded threaded-vs-interpreted differential
 # oracle at machine level: one scheme, a LEBench slice, one census gadget,

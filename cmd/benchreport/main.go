@@ -3,9 +3,9 @@
 //
 // Three measurements go into the report:
 //
-//  1. micro: the per-package Go benchmarks (cache access, vmm translate,
-//     cpu issue loop, kernel syscall round-trip) via `go test -bench`,
-//     parsed into name → ns/op, B/op, allocs/op.
+//  1. micro: the per-package Go benchmarks (cache access, cpu issue loop,
+//     kernel syscall round-trip) via `go test -bench`, parsed into
+//     name → ns/op, B/op, allocs/op.
 //  2. end_to_end: a supervised `-exp all` run at a fixed worker count,
 //     reported as wall seconds and experiment cells per second — in
 //     aggregate, per experiment, and over the stable experiment subset
@@ -136,7 +136,7 @@ type TaillatsProbe struct {
 }
 
 var benchPkgs = []string{
-	"./internal/cache/", "./internal/vmm/", "./internal/cpu/", "./internal/kernel/",
+	"./internal/cache/", "./internal/cpu/", "./internal/kernel/",
 	"./internal/apps/", "./internal/loadgen/", "./internal/staticflow/",
 }
 

@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-func TestNoteTLB(t *testing.T) {
+func TestNoteLookaside(t *testing.T) {
 	c := NewChecker(nil, nil)
-	c.NoteTLB(nil)
-	if c.Count[TLBStale] != 0 {
+	c.NoteLookaside(nil)
+	if c.Count[LookasideStale] != 0 {
 		t.Fatal("nil verification error must not count as a violation")
 	}
-	c.NoteTLB(errors.New("entry 0x1000 diverged"))
-	c.NoteTLB(errors.New("entry 0x2000 diverged"))
-	if c.Count[TLBStale] != 2 {
-		t.Fatalf("TLBStale count = %d, want 2", c.Count[TLBStale])
+	c.NoteLookaside(errors.New("entry 0x1000 diverged"))
+	c.NoteLookaside(errors.New("entry 0x2000 diverged"))
+	if c.Count[LookasideStale] != 2 {
+		t.Fatalf("LookasideStale count = %d, want 2", c.Count[LookasideStale])
 	}
 	if c.Total() != 2 {
 		t.Fatalf("Total() = %d, want 2", c.Total())

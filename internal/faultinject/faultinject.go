@@ -192,10 +192,10 @@ const (
 	// ISVStale: a cached ISV verdict claimed trusted for an instruction
 	// the installed view says is untrusted.
 	ISVStale
-	// TLBStale: a host-side translation-cache entry diverged from the raw
-	// page-table walk (VerifyAgainstWalk / VerifyAgainstMaps failed) — the
-	// PR-3 fast path served a wrong translation.
-	TLBStale
+	// LookasideStale: a current resolve-lookaside entry diverged from the
+	// translator's page walk (Mem.VerifyLookaside failed) — the host-side
+	// translation memo served a wrong translation.
+	LookasideStale
 	// CloneDiverged: a snapshot clone's boot-state digest differs from a
 	// fresh boot's — the PR-4 copy-on-write plumbing corrupted state the
 	// campaign then ran on.
@@ -217,8 +217,8 @@ func (k ViolationKind) String() string {
 		return "dsv-stale"
 	case ISVStale:
 		return "isv-stale"
-	case TLBStale:
-		return "tlb-stale"
+	case LookasideStale:
+		return "lookaside-stale"
 	case CloneDiverged:
 		return "clone-diverged"
 	default:
@@ -309,16 +309,16 @@ func (c *Checker) SquashRestore(pc uint64, intact bool) {
 	}
 }
 
-// NoteTLB judges one translation-cache verification result: a non-nil
-// error from VerifyAgainstWalk / VerifyAgainstMaps means the host-side TLB
-// memoization diverged from the architectural page tables. The campaigns
-// call it after their workload and attack phases so the PR-3 fast path is
-// under the same invariant regime as the view caches.
-func (c *Checker) NoteTLB(err error) {
+// NoteLookaside judges one translation-memo verification result: a non-nil
+// error from Mem.VerifyLookaside means the resolve lookaside diverged from
+// the architectural page tables. The campaigns call it after their workload
+// and attack phases so the translation fast path is under the same
+// invariant regime as the view caches.
+func (c *Checker) NoteLookaside(err error) {
 	if err == nil {
 		return
 	}
-	c.add(Violation{Kind: TLBStale})
+	c.add(Violation{Kind: LookasideStale})
 }
 
 // NoteCloneDigest judges a snapshot clone against the fresh-boot digest:

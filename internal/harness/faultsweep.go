@@ -26,27 +26,27 @@ var FaultSweepSchemes = []schemes.Kind{
 // FaultSweepRow is one (scheme, rate) campaign: injected-fault counts, the
 // invariant-checker verdicts, and whether the live PoC attack still leaked.
 type FaultSweepRow struct {
-	Scheme        schemes.Kind
-	Rate          float64
-	Opportunities uint64
-	Injected      uint64
-	OutOfView     uint64 // wrong-path fills outside the context's DSV
-	Untrusted     uint64 // wrong-path transmitters outside the installed ISV
-	SquashLeaks   uint64 // squashes that failed to restore register state
-	StaleViews    uint64 // dangerous cached-verdict/table disagreements
-	TLBStale      uint64 // translation-cache entries diverging from the walk
-	CloneDiff     uint64 // snapshot-clone digests diverging from a fresh boot
-	SpuriousBlock uint64 // fail-closed events (extra fences from faults)
-	Leaked        int    // PoC bytes recovered under fault injection
-	HandlerFaults uint64
-	Cycles        float64
-	Err           string // campaign error, "" if it completed
+	Scheme         schemes.Kind
+	Rate           float64
+	Opportunities  uint64
+	Injected       uint64
+	OutOfView      uint64 // wrong-path fills outside the context's DSV
+	Untrusted      uint64 // wrong-path transmitters outside the installed ISV
+	SquashLeaks    uint64 // squashes that failed to restore register state
+	StaleViews     uint64 // dangerous cached-verdict/table disagreements
+	LookasideStale uint64 // resolve-lookaside entries diverging from the walk
+	CloneDiff      uint64 // snapshot-clone digests diverging from a fresh boot
+	SpuriousBlock  uint64 // fail-closed events (extra fences from faults)
+	Leaked         int    // PoC bytes recovered under fault injection
+	HandlerFaults  uint64
+	Cycles         float64
+	Err            string // campaign error, "" if it completed
 }
 
 // Violations sums the row's invariant breaches.
 func (r FaultSweepRow) Violations() uint64 {
 	return r.OutOfView + r.Untrusted + r.SquashLeaks + r.StaleViews +
-		r.TLBStale + r.CloneDiff
+		r.LookasideStale + r.CloneDiff
 }
 
 // verdict classifies a row for the report.
@@ -169,15 +169,9 @@ func (h *Harness) faultCampaign(kind schemes.Kind, views *Views, rate float64, s
 		}
 	}
 
-	// Judge the PR-3 translation fast path against ground truth: the
-	// kernel-half cache against the kernel maps, and each live task's TLB
-	// against a raw page-table walk.
-	chk.NoteTLB(k.Km.VerifyAgainstMaps())
-	for _, t := range []*kernel.Task{victim, attacker} {
-		if t != nil {
-			chk.NoteTLB(t.AS.VerifyAgainstWalk())
-		}
-	}
+	// Judge the translation fast path against ground truth: every current
+	// resolve-lookaside entry against the active translator's walk.
+	chk.NoteLookaside(k.Mem.VerifyLookaside())
 	h.collectFaultStats(&row, inj, chk, k.Stats.HandlerFaults,
 		k.Core.Now()-start, k.Core.Stats.TransientFences-fencesBefore)
 	if err != nil {
@@ -197,7 +191,7 @@ func (h *Harness) collectFaultStats(row *FaultSweepRow, inj *faultinject.Injecto
 	row.Untrusted = chk.Count[faultinject.UntrustedFill]
 	row.SquashLeaks = chk.Count[faultinject.SquashLeak]
 	row.StaleViews = chk.Count[faultinject.DSVStale] + chk.Count[faultinject.ISVStale]
-	row.TLBStale = chk.Count[faultinject.TLBStale]
+	row.LookasideStale = chk.Count[faultinject.LookasideStale]
 	row.CloneDiff = chk.Count[faultinject.CloneDiverged]
 	row.SpuriousBlock = chk.SpuriousStale + fences
 	row.HandlerFaults = handlerFaults
@@ -209,12 +203,12 @@ func PrintFaultSweep(w io.Writer, rows []FaultSweepRow) {
 	Section(w, "Fault-injection sweep: invariant violations per scheme and fault rate")
 	fmt.Fprintf(w, "%-14s %6s %9s %8s %8s %8s %7s %7s %5s %7s %9s %7s %9s\n",
 		"scheme", "rate", "opps", "faults", "outview", "untrust", "squash",
-		"stale", "tlb", "clone", "spurious", "leaked", "verdict")
+		"stale", "lkas", "clone", "spurious", "leaked", "verdict")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14s %6g %9d %8d %8d %8d %7d %7d %5d %7d %9d %7d %9s\n",
 			r.Scheme, r.Rate, r.Opportunities, r.Injected,
 			r.OutOfView, r.Untrusted, r.SquashLeaks, r.StaleViews,
-			r.TLBStale, r.CloneDiff,
+			r.LookasideStale, r.CloneDiff,
 			r.SpuriousBlock, r.Leaked, r.verdict())
 	}
 	var errs int

@@ -33,8 +33,7 @@ func BenchmarkSyscallGetpid(b *testing.B) {
 }
 
 // BenchmarkSyscallGetpidKPTI is the same round trip under a KPTI policy,
-// which adds a full translation-cache flush at entry and exit — the
-// worst case for the host-side TLB.
+// which adds the page-table-switch cycle cost at entry and exit.
 func BenchmarkSyscallGetpidKPTI(b *testing.B) {
 	k, p := benchKernel(b)
 	k.Core.Policy = &schemes.SpotPolicy{KPTI: true}

@@ -213,16 +213,10 @@ func FuzzSyscallSequence(f *testing.F) {
 		if !k.DSV.Owns(p.Ctx(), p.TaskVA()) {
 			t.Error("task lost DSV ownership of its task struct")
 		}
-		// Translation-cache coherence: after the whole script (mmap,
-		// munmap, fork, exit, generated chains), every surviving task's
-		// TLB must agree with its raw page walk, and the shared
-		// kernel-half cache with the vmalloc/per-cpu tables.
-		for _, lt := range k.Tasks() {
-			if err := lt.AS.VerifyAgainstWalk(); err != nil {
-				t.Errorf("script %v: pid %d: %v", script, lt.PID, err)
-			}
-		}
-		if err := k.Km.VerifyAgainstMaps(); err != nil {
+		// Translation-memo coherence: after the whole script (mmap,
+		// munmap, fork, exit, generated chains), every current resolve-
+		// lookaside entry must agree with the active translator's walk.
+		if err := k.Mem.VerifyLookaside(); err != nil {
 			t.Errorf("script %v: %v", script, err)
 		}
 		// Unmapping the scratch buffer and live maps, then exiting, must

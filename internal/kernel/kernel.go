@@ -329,14 +329,6 @@ func (k *Kernel) runKernelFunc(t *Task, name string) cpu.RunResult {
 }
 
 func (k *Kernel) runKernelVA(t *Task, va uint64) cpu.RunResult {
-	// Under KPTI (KernelCrossPenalty > 0) the kernel entry switches page
-	// tables, so the host-side translation cache must not carry memoized
-	// user walks across the boundary. The flush is pure host bookkeeping —
-	// the KPTI cycle cost itself is charged by EnterKernel/ExitKernel.
-	kpti := k.Core.Policy.KernelCrossPenalty() > 0
-	if kpti {
-		t.AS.FlushTLB()
-	}
 	t.AS.InKernel = true
 	k.Mem.SetKernelMode(true)
 	k.Core.EnterKernel()
@@ -354,9 +346,6 @@ func (k *Kernel) runKernelVA(t *Task, va uint64) cpu.RunResult {
 	k.Core.ExitKernel()
 	t.AS.InKernel = false
 	k.Mem.SetKernelMode(false)
-	if kpti {
-		t.AS.FlushTLB()
-	}
 	return res
 }
 

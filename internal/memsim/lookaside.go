@@ -1,20 +1,21 @@
 // Resolve lookaside: the translation half of the memory-system fast path
-// (DESIGN.md §12). Every committed and transient access resolves a virtual
-// address, and even with vmm's per-address-space TLB each resolution pays
-// two interface dispatches (KernelAllowed, Translate) plus the privilege,
-// straddle and containment checks. This direct-mapped table memoizes the
-// final answer — page VA -> physical page base — right inside Mem, where
-// the core's inlined fast path can reach it with three loads and no calls.
+// (DESIGN.md §12), and the only host-side translation memo. Every committed
+// and transient access resolves a virtual address, and each resolution
+// through the translator pays two interface dispatches (KernelAllowed,
+// Translate), vmm's page walk or map probe, and the privilege, straddle and
+// containment checks. This direct-mapped table memoizes the final answer —
+// page VA -> physical page base — right inside Mem, where the core's
+// inlined fast path can reach it with three loads and no calls.
 //
-// Like the vmm TLB it is pure host-side memoization: Resolve has no
-// simulated side effects, so a lookaside hit changes no simulated cycle,
-// fill, or report byte. Unlike the vmm TLB, entries are validated by a
-// generation counter rather than by eager invalidation: the counter lives
-// in vmm.Kmaps (one per machine, shared by all its address spaces) and is
-// bumped by every mapping mutation — MapPage, UnmapPage, ReleasePageTables,
-// FlushTLB, Vmalloc, Vfree, MapPerCPU — and by every translator switch
-// (Mem.SetTranslator). A hit whose recorded generation still matches is
-// therefore proof the page's translation is unchanged since install.
+// It is pure host-side memoization: Resolve has no simulated side effects,
+// so a lookaside hit changes no simulated cycle, fill, or report byte.
+// Entries are validated by a generation counter rather than by eager
+// invalidation: the counter lives in vmm.Kmaps (one per machine, shared by
+// all its address spaces) and is bumped by every mapping mutation —
+// MapPage, UnmapPage, ReleasePageTables, Vmalloc, Vfree, MapPerCPU — and by
+// every translator switch (Mem.SetTranslator). A hit whose recorded
+// generation still matches is therefore proof the page's translation is
+// unchanged since install.
 //
 // The privilege check cannot be folded into the generation (kernel
 // entry/exit happens per syscall; invalidating the table each time would
@@ -26,7 +27,7 @@ package memsim
 import "fmt"
 
 // lkBits sizes the direct-mapped lookaside: 1024 entries cover 4 MB of
-// resolved pages, matching the vmm TLB's reach.
+// resolved pages, well past the harness workloads' working sets.
 const (
 	lkBits = 10
 	lkSize = 1 << lkBits

@@ -31,14 +31,10 @@ type Kmaps struct {
 	perCPU    map[uint64]uint64
 	vmCursor  uint64
 
-	// tlb memoizes vmalloc and per-cpu translations so the per-access map
-	// probes leave the hot path; Vmalloc/Vfree/MapPerCPU keep it coherent.
-	tlb tlb
-
 	// epoch is the machine-wide translation generation backing the memsim
 	// resolve lookaside (memsim/lookaside.go): every mutation that can
 	// change any address space's translation function on this machine —
-	// kernel-half remaps here, user-half remaps and flushes in AddrSpace —
+	// kernel-half remaps here, user-half remaps and teardown in AddrSpace —
 	// bumps it, invalidating all memoized resolutions at once. Host-side
 	// only: no simulated state reads it.
 	epoch uint64
@@ -58,10 +54,8 @@ func NewKmaps(physBytes uint64) *Kmaps {
 	}
 }
 
-// Clone deep-copies the kernel mappings. The host-side translation cache
-// starts cold — it is pure memoization with no simulated effect, so a cold
-// cache only costs a few map probes before refilling. The receiver is not
-// mutated, so concurrent clones of an immutable template are safe.
+// Clone deep-copies the kernel mappings. The receiver is not mutated, so
+// concurrent clones of an immutable template are safe.
 func (k *Kmaps) Clone() *Kmaps {
 	c := &Kmaps{
 		PhysBytes: k.PhysBytes,
@@ -87,7 +81,6 @@ func (k *Kmaps) Vmalloc(pfns []uint64) uint64 {
 	for i, pfn := range pfns {
 		va := base + uint64(i)*memsim.PageSize
 		k.vmalloc[va] = pfn
-		k.tlb.insert(va>>memsim.PageShift, pfn)
 	}
 	k.vmCursor = base + uint64(len(pfns)+1)*memsim.PageSize
 	return base
@@ -103,7 +96,6 @@ func (k *Kmaps) Vfree(base uint64, n int) []uint64 {
 		if pfn, ok := k.vmalloc[va]; ok {
 			pfns = append(pfns, pfn)
 			delete(k.vmalloc, va)
-			k.tlb.invalidate(va >> memsim.PageShift)
 		}
 	}
 	return pfns
@@ -113,24 +105,16 @@ func (k *Kmaps) Vfree(base uint64, n int) []uint64 {
 func (k *Kmaps) MapPerCPU(va, pfn uint64) {
 	k.epoch++
 	k.perCPU[va&^0xfff] = pfn
-	k.tlb.insert(va>>memsim.PageShift, pfn)
 }
 
-// lookupKernel resolves a vmalloc or per-cpu page VA through the kernel
-// translation cache, falling back to the mapping tables on a miss.
+// lookupKernel resolves a vmalloc or per-cpu page VA through the mapping
+// tables.
 func (k *Kmaps) lookupKernel(va uint64) (pfn uint64, ok bool) {
-	vpn := va >> memsim.PageShift
-	if pfn, ok = k.tlb.lookup(vpn); ok {
-		return pfn, true
-	}
 	switch {
 	case va >= memsim.VmallocBase && va < memsim.VmallocBase+memsim.VmallocSize:
 		pfn, ok = k.vmalloc[va&^(memsim.PageSize-1)]
 	case va >= memsim.PerCPUBase && va < memsim.PerCPUBase+memsim.PerCPUSize:
 		pfn, ok = k.perCPU[va&^(memsim.PageSize-1)]
-	}
-	if ok {
-		k.tlb.insert(vpn, pfn)
 	}
 	return pfn, ok
 }
@@ -170,10 +154,6 @@ type AddrSpace struct {
 	mmapNext uint64
 	brk      uint64
 	brkStart uint64
-
-	// tlb memoizes user-half walks; every mapping change below keeps it
-	// coherent (see tlb.go for the invalidation-point inventory).
-	tlb tlb
 
 	// InKernel gates access to kernel-half addresses (the privilege check).
 	InKernel bool
@@ -264,9 +244,6 @@ func (as *AddrSpace) MapPage(va, pfn uint64) error {
 		}
 	}
 	as.setPTE(table, ptIndex(va, 0), pfn<<12|pteP)
-	// A remap of an already-mapped VA must not leave the old translation
-	// cached; inserting covers both the fresh-map and remap cases.
-	as.tlb.insert(va>>memsim.PageShift, pfn)
 	return nil
 }
 
@@ -286,29 +263,14 @@ func (as *AddrSpace) UnmapPage(va uint64) (pfn uint64, ok bool) {
 		return 0, false
 	}
 	as.setPTE(table, idx, 0)
-	as.tlb.invalidate(va >> memsim.PageShift)
 	as.bumpEpoch()
 	return e >> 12, true
 }
 
-// Lookup resolves a user VA to its frame without simulated side effects,
-// consulting the translation cache before walking the page table.
+// Lookup resolves a user VA to its frame by walking the 4-level page table,
+// without simulated side effects. The walk is the translation truth; the
+// only memo in front of it is memsim's resolve lookaside.
 func (as *AddrSpace) Lookup(va uint64) (pfn uint64, ok bool) {
-	vpn := va >> memsim.PageShift
-	if pfn, ok = as.tlb.lookup(vpn); ok {
-		return pfn, true
-	}
-	pfn, ok = as.lookupWalk(va)
-	if ok {
-		as.tlb.insert(vpn, pfn)
-	}
-	return pfn, ok
-}
-
-// lookupWalk is the raw 4-level page-table walk — the TLB's ground truth.
-// Negative results are never cached: an unmapped page walks every time, so
-// a later MapPage needs no negative-entry invalidation.
-func (as *AddrSpace) lookupWalk(va uint64) (pfn uint64, ok bool) {
 	table := as.rootPFN
 	for level := 3; level > 0; level-- {
 		e := as.pte(table, ptIndex(va, level))
@@ -428,14 +390,11 @@ func (as *AddrSpace) walk(table uint64, level int, vaBase uint64, out *[]PageMap
 }
 
 // ReleasePageTables frees the page-table frames; the kernel calls this at
-// process teardown after freeing the mapped data frames. The translation
-// cache dies with the tables: a recycled ASID (a new process in the same
-// cgroup) builds a fresh AddrSpace and can never see these entries.
+// process teardown after freeing the mapped data frames.
 func (as *AddrSpace) ReleasePageTables() {
 	for _, pfn := range as.ptPages {
 		as.bud.Free(pfn)
 	}
 	as.ptPages = nil
-	as.tlb.flush()
 	as.bumpEpoch()
 }

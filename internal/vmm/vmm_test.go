@@ -62,6 +62,47 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// Mapping an already-mapped VA again redirects it to the new frame.
+func TestRemapTranslatesToNewFrame(t *testing.T) {
+	_, bud, _, as := setup(t)
+	pfn1, _ := bud.AllocPages(0, 2)
+	pfn2, _ := bud.AllocPages(0, 2)
+	va := uint64(UserMmapBase)
+	as.MapPage(va, pfn1)
+	as.MapPage(va, pfn2)
+	if got, ok := as.Lookup(va); !ok || got != pfn2 {
+		t.Errorf("after remap Lookup = %d, %v; want %d", got, ok, pfn2)
+	}
+}
+
+// A fork child and its parent map the same VA to different frames: a write
+// through one space's translation must not show through the other's, and
+// repeated translations must stay stable.
+func TestForkDivergence(t *testing.T) {
+	phys, bud, km, parent := setup(t)
+	child, err := NewAddrSpace(phys, bud, km, parent.Ctx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppfn, _ := bud.AllocPages(0, 2)
+	cpfn, _ := bud.AllocPages(0, 2)
+	va := uint64(UserMmapBase)
+	parent.MapPage(va, ppfn)
+	child.MapPage(va, cpfn)
+	ppa, _ := parent.Translate(va)
+	cpa, _ := child.Translate(va)
+	phys.Write64(ppa, 0xdead)
+	if got := phys.Read64(cpa); got == 0xdead {
+		t.Fatal("child translation aliases parent frame")
+	}
+	if p2, _ := parent.Translate(va); p2 != ppa {
+		t.Error("parent translation unstable")
+	}
+	if c2, _ := child.Translate(va); c2 != cpa {
+		t.Error("child translation unstable")
+	}
+}
+
 func TestDirectMapTranslation(t *testing.T) {
 	_, _, _, as := setup(t)
 	pa, ok := as.Translate(memsim.DirectMapVA(5 * memsim.PageSize))
