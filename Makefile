@@ -5,7 +5,7 @@ GO ?= go
 # drops combined coverage below this.
 COVER_MIN ?= 70
 
-.PHONY: build test vet race fuzzseed lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke perfbenchtest clean
+.PHONY: build test vet race fuzzseed inlinecheck lint cover check bench benchsmoke benchdiff benchdiffsmoke relsecsmoke lockstepsmoke taillatsmoke staticsmoke perfbenchtest clean
 
 # Packages carrying the host-perf microbenchmarks (cache access, cpu issue
 # loop, kernel syscall round-trip, app drive path, open-loop replay +
@@ -27,7 +27,20 @@ race:
 # fuzzseed replays the checked-in fuzz seed corpus as regular tests
 # (no -fuzz: that would explore; CI only replays known inputs).
 fuzzseed:
-	$(GO) test -run=Fuzz ./internal/kernel/ ./internal/cpu/ ./internal/loadgen/
+	$(GO) test -run=Fuzz ./internal/kernel/ ./internal/cpu/ ./internal/loadgen/ ./internal/cache/
+
+# inlinecheck fails if a hot-path function stops being inlinable. The L0
+# probes sit close to the compiler's budget of 80 (l0DataFast at 79), so an
+# edit that pushes one over costs host time and breaks no test. Functions
+# that were never inlinable (Cache.Access, cost 127: the call to accessScan
+# alone costs 57) are not listed.
+INLINE_FUNCS = '(*Cache).CommitHit' '(*Cache).GenAt' '(*Core).l0DataFast' '(*Core).l0Inst' '(*Core).fetchTiming'
+
+inlinecheck:
+	@out=$$($(GO) build -gcflags=-m ./internal/cache ./internal/cpu 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; for f in $(INLINE_FUNCS); do \
+		echo "$$out" | grep -qF "can inline $$f" || { echo "inlinecheck: $$f is no longer inlinable"; fail=1; }; \
+	done; [ $$fail = 0 ] && echo "inlinecheck: ok"
 
 # lint runs the project's own go/analysis suite (determinism, errwrap,
 # specgate — see DESIGN.md §8). Exit 1 means an unannotated finding;
@@ -48,7 +61,7 @@ cover:
 # deterministic benchmark-coverage diff against the committed perf
 # trajectory + end-to-end relative-security, tail-latency, and static-
 # verifier smokes + the benchmark-of-record module's own tests.
-check: vet lint race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke perfbenchtest
+check: vet lint inlinecheck race fuzzseed lockstepsmoke benchsmoke benchdiffsmoke relsecsmoke taillatsmoke staticsmoke perfbenchtest
 
 # perfbenchtest runs the tests of the perfbench module (the benchmark of
 # record, a separate Go module): they pin per-test LEBench cycles to

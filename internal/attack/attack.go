@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"fmt"
+
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/kimage"
@@ -48,9 +50,14 @@ func PlantSecret(k *kernel.Kernel, victim *kernel.Task, secret []byte) (uint64, 
 	if err := k.CopyToUser(victim, va, secret); err != nil {
 		return 0, err
 	}
+	return directMapAlias(victim, va)
+}
+
+// directMapAlias returns the direct-map VA of the victim's user address va.
+func directMapAlias(victim *kernel.Task, va uint64) (uint64, error) {
 	pa, ok := victim.AS.Translate(va)
 	if !ok {
-		return 0, err
+		return 0, fmt.Errorf("attack: victim pid %d: secret VA %#x does not translate", victim.PID, va)
 	}
 	return memsim.DirectMapVA(pa), nil
 }

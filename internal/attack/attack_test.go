@@ -6,6 +6,7 @@ import (
 	"repro/internal/isv"
 	"repro/internal/kernel"
 	"repro/internal/kimage"
+	"repro/internal/memsim"
 	"repro/internal/schemes"
 )
 
@@ -318,5 +319,28 @@ func TestActiveV1AllCVECarriers(t *testing.T) {
 				t.Errorf("DSV: leaked %d/3 via %s", got, name)
 			}
 		})
+	}
+}
+
+// A secret page that no longer translates must fail loudly: the attack
+// would otherwise aim at direct-map VA 0 with a nil error.
+func TestDirectMapAliasUnmapped(t *testing.T) {
+	s := newScenario(t)
+	va, err := s.k.Syscall(s.victim, kimage.NRMmap, memsim.PageSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := directMapAlias(s.victim, va); err != nil {
+		t.Fatalf("mapped page: %v", err)
+	}
+	if _, err := s.k.Syscall(s.victim, kimage.NRMunmap, va, memsim.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	got, err := directMapAlias(s.victim, va)
+	if err == nil {
+		t.Fatalf("unmapped page: got VA %#x and a nil error", got)
+	}
+	if got != 0 {
+		t.Errorf("unmapped page: VA %#x alongside the error, want 0", got)
 	}
 }

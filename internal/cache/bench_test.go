@@ -80,3 +80,28 @@ func BenchmarkCommitHit(b *testing.B) {
 		c.CommitHit(slots[i&63])
 	}
 }
+
+// BenchmarkAccessMissStream measures the miss path the way a prime+probe
+// receiver drives it: 256 consecutive L2 sets, each primed with 16 lines
+// that share the set, through Hierarchy.AccessData. The 16 lines overflow
+// their 8-way L1D set, so every access misses L1D (and its next-line
+// prefetch misses too) and picks an LRU victim, then re-hits the 16-way L2
+// set past its MRU hint.
+func BenchmarkAccessMissStream(b *testing.B) {
+	h := NewDefaultHierarchy()
+	line := uint64(DefaultL2.LineBytes)
+	setStride := uint64(DefaultL2.Sets) * line // same L2 set, next tag
+	addrs := make([]uint64, 0, 256*DefaultL2.Ways)
+	for s := uint64(0); s < 256; s++ {
+		for w := uint64(0); w < uint64(DefaultL2.Ways); w++ {
+			addrs = append(addrs, s*line+w*setStride)
+		}
+	}
+	for _, a := range addrs {
+		h.AccessData(a, true)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.AccessData(addrs[i&(len(addrs)-1)], true)
+	}
+}

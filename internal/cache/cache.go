@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 )
@@ -72,17 +73,24 @@ func (s Stats) HitRate() float64 {
 // tags — eight per 64-byte host line instead of four {tag,stamp} pairs — and
 // stamps are touched exactly once per hit or fill. A tag holds the address
 // tag + 1 so the zero value is an invalid way (no separate valid array).
+//
+// A lookup past the MRU hint is two steps. A tag-only loop finds the line;
+// only a miss reads stamps, to pick the victim: the first invalid way, else
+// the LRU way from one branch-free min pass over packed stamp<<wayBits|way
+// keys. Stamps of valid ways are distinct (each stamp write takes a fresh
+// clock value), so the minimum key names the one least-recently-used way.
 type Cache struct {
 	cfg       Config
 	lineShift uint
 	tagShift  uint // lineShift + log2(Sets), precomputed off the hot path
+	wayBits   uint // bits that hold a way index: ceil(log2(Ways))
 	setMask   uint64
 	tags      []uint64 // address tag + 1 per slot; 0 = invalid
 	stamps    []uint64 // LRU timestamp per slot
 	// mru holds each set's most-recently-hit/filled way, probed before the
 	// full scan. Purely a host-side shortcut: tags are unique within a set,
-	// so a hint hit returns exactly what the scan would have found, and
-	// misses still scan every way in index order (victim choice unchanged).
+	// so a hint hit returns exactly what the scan would have found, and the
+	// victim a miss picks never depends on it.
 	mru   []int32
 	clock uint64
 	// gens counts content-changing events per set: every fill (and the
@@ -131,6 +139,7 @@ func New(cfg Config) *Cache {
 		cfg:       cfg,
 		lineShift: shift,
 		tagShift:  shift + log2(uint64(cfg.Sets)),
+		wayBits:   uint(bits.Len(uint(cfg.Ways - 1))),
 		setMask:   uint64(cfg.Sets - 1),
 		tags:      make([]uint64, cfg.Sets*cfg.Ways),
 		stamps:    make([]uint64, cfg.Sets*cfg.Ways),
@@ -206,8 +215,8 @@ func (c *Cache) Lookup(addr uint64) bool {
 // state untouched — Perspective defers LRU updates for speculative accesses
 // until the visibility point (§6.2); the caller re-invokes Touch at VP.
 //
-// The MRU-hint hit stays under the inlining budget; everything else — the
-// full way scan, victim selection, the fill — is in accessScan.
+// The body is only the MRU-hint hit; everything else — the tag scan,
+// victim selection, the fill — is in accessScan.
 func (c *Cache) Access(addr uint64, updateLRU bool) bool {
 	c.clock++
 	c.stats.Accesses++
@@ -223,16 +232,12 @@ func (c *Cache) Access(addr uint64, updateLRU bool) bool {
 	return c.accessScan(addr, set, updateLRU)
 }
 
-// accessScan is Access past the MRU hint: scan every way in index order,
-// fill on a miss. Victim choice is unchanged from the struct-walk era: the
-// first invalid way, else the minimum-stamp (least recently used) way.
+// accessScan is Access past the MRU hint: a tag-only scan finds the line,
+// and only a miss goes on to pick a victim (see victim) and fill it.
 func (c *Cache) accessScan(addr uint64, set int, updateLRU bool) bool {
 	base := set * c.cfg.Ways
 	tags := c.tags[base : base+c.cfg.Ways]
 	tag1 := (addr >> c.tagShift) + 1
-	victim := -1
-	var victimStamp uint64
-	hasInvalid := false
 	for w, t := range tags {
 		if t == tag1 {
 			c.stats.Hits++
@@ -242,15 +247,10 @@ func (c *Cache) accessScan(addr uint64, set int, updateLRU bool) bool {
 			c.mru[set] = int32(w)
 			return true
 		}
-		switch {
-		case t == 0 && !hasInvalid:
-			victim, hasInvalid = w, true
-		case !hasInvalid && (victim == -1 || c.stamps[base+w] < victimStamp):
-			victim, victimStamp = w, c.stamps[base+w]
-		}
 	}
 	// Miss: fill. Even speculative fills happen on baseline hardware — this
 	// is the transmission step of every PoC in internal/attack.
+	victim := c.victim(base)
 	c.stats.Fills++
 	c.gens[set]++
 	if c.obs != nil {
@@ -260,6 +260,31 @@ func (c *Cache) accessScan(addr uint64, set int, updateLRU bool) bool {
 	c.stamps[base+victim] = c.clock
 	c.mru[set] = int32(victim)
 	return false
+}
+
+// victim picks the way a miss in the set starting at slot base fills: the
+// first invalid way, else the least-recently-used one, as the minimum of
+// the keys stamp<<wayBits | way (see the Cache doc comment). Two
+// independent accumulators keep consecutive mins from serialising. The
+// packing needs clock < 2^(64-wayBits): 2^60 accesses at 16 ways.
+func (c *Cache) victim(base int) int {
+	tags := c.tags[base : base+c.cfg.Ways]
+	for w, t := range tags {
+		if t == 0 {
+			return w
+		}
+	}
+	stamps := c.stamps[base : base+len(tags)]
+	shift := c.wayBits & 63 // the mask drops the compiler's shift >= 64 guard
+	k0, k1 := ^uint64(0), ^uint64(0)
+	for w := 1; w < len(stamps); w += 2 {
+		k0 = min(k0, stamps[w-1]<<shift|uint64(w-1))
+		k1 = min(k1, stamps[w]<<shift|uint64(w))
+	}
+	if n := len(stamps) - 1; n&1 == 0 {
+		k0 = min(k0, stamps[n]<<shift|uint64(n))
+	}
+	return int(min(k0, k1) & (1<<shift - 1))
 }
 
 // CommitHit re-applies a committed-path hit to the line in slot, bypassing
