@@ -220,19 +220,23 @@ func tailMeanService(res *loadgen.Reservoir) float64 {
 // calibration; the stream seed omits the scheme so arrivals are identical
 // across schemes.
 func (h *Harness) tailReplay(app string, shard int, n uint64, meanGap float64, res *loadgen.Reservoir) (loadgen.Digest, loadgen.ReplayStats) {
-	s := loadgen.NewStream(loadgen.StreamConfig{
-		Seed:       CellSeed(h.Opt.Seed, "taillats-stream", app, strconv.Itoa(shard)),
-		Kind:       h.Opt.TailArrival,
+	var d loadgen.Digest
+	st := loadgen.Replay(loadgen.NewStream(h.Opt.tailReplayConfig(app, shard, meanGap)), res, n, &d)
+	return d, st
+}
+
+// tailReplayConfig is the shard's slice of the cell's open-loop arrivals.
+func (o Options) tailReplayConfig(app string, shard int, meanGap float64) loadgen.StreamConfig {
+	return loadgen.StreamConfig{
+		Seed:       CellSeed(o.Seed, "taillats-stream", app, strconv.Itoa(shard)),
+		Kind:       o.TailArrival,
 		MeanGap:    meanGap,
-		Phase:      float64(shard) * meanGap / float64(h.Opt.tailFleet()),
+		Phase:      float64(shard) * meanGap / float64(o.tailFleet()),
 		Conns:      tailConns,
 		KeepAliveP: tailKeepAliveP,
 		Keys:       tailKeys(app),
 		ZipfS:      tailZipfS,
-	})
-	var d loadgen.Digest
-	st := loadgen.Replay(s, res, n, &d)
-	return d, st
+	}
 }
 
 // shardRequests splits the per-cell request count across the fleet; shard 0

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -199,5 +202,37 @@ func TestNormalizeTails(t *testing.T) {
 	// Apps with no clean UNSAFE measurement keep zero overheads.
 	if cells[3].P50X != 0 || cells[3].P99X != 0 || cells[3].P999X != 0 {
 		t.Errorf("redis overheads = %f/%f/%f, want 0", cells[3].P50X, cells[3].P99X, cells[3].P999X)
+	}
+}
+
+// TestStreamGolden pins the replay request streams of a keyed (memcached,
+// Zipf keys) and a keyless (httpd) taillats shard: an FNV-64a over the
+// first 10⁵ requests' arrival bits, connection, key and churn flag. The
+// constants predate the table-driven Zipf sampler, so they hold it to the
+// stdlib's key stream and draw order (DESIGN.md §11).
+func TestStreamGolden(t *testing.T) {
+	o := QuickOptions()
+	for _, c := range []struct {
+		app  string
+		want uint64
+	}{{"memcached", 0x54d208704b7a8bc0}, {"httpd", 0xd57fc867467b311a}} {
+		s := loadgen.NewStream(o.tailReplayConfig(c.app, 1, 2500))
+		h := fnv.New64a()
+		var r loadgen.Req
+		var b [25]byte
+		for i := 0; i < 100_000; i++ {
+			s.Next(&r)
+			binary.LittleEndian.PutUint64(b[0:], math.Float64bits(r.Arrival))
+			binary.LittleEndian.PutUint64(b[8:], uint64(r.Conn))
+			binary.LittleEndian.PutUint64(b[16:], r.Key)
+			b[24] = 0
+			if r.Churn {
+				b[24] = 1
+			}
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s stream hash %#016x, want %#016x", c.app, got, c.want)
+		}
 	}
 }

@@ -151,21 +151,14 @@ func (v *View) Clone() *View {
 }
 
 // lineMask extracts the per-granule ISV payload for the code window
-// containing va: one bit per instruction slot in the window.
+// containing va: one bit per instruction slot in the window. A window is
+// 64 slots aligned to 64 within its page, so it is exactly one bitmap word.
 func (v *View) lineMask(va uint64) uint64 {
 	p := v.pages[va>>pageShift]
 	if p == nil {
 		return 0
 	}
-	lineStart := (va &^ ((1 << lineShift) - 1))
-	var mask uint64
-	for i := 0; i < instsPerLine; i++ {
-		slot := ((lineStart >> instShift) + uint64(i)) & (instsPerPage - 1)
-		if p[slot>>6]&(1<<(slot&63)) != 0 {
-			mask |= 1 << i
-		}
-	}
-	return mask
+	return p[(va>>lineShift)&(wordsPerPage-1)]
 }
 
 // Dir is the registry of installed views plus the shared ISV hardware cache

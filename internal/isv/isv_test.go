@@ -1,6 +1,7 @@
 package isv
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -232,5 +233,35 @@ func TestStringNonEmpty(t *testing.T) {
 	v := NewView()
 	if v.String() == "" {
 		t.Error("empty String")
+	}
+}
+
+// lineMaskLoop is the slot-by-slot definition of a window's payload: bit i
+// is the membership of the window's i-th instruction slot.
+func lineMaskLoop(v *View, va uint64) uint64 {
+	var mask uint64
+	start := va &^ (1<<lineShift - 1)
+	for i := uint64(0); i < instsPerLine; i++ {
+		if v.Contains(start + i<<instShift) {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
+// The one-word lineMask must equal the per-slot definition on random views
+// and lookups, including pages the view never touched.
+func TestLineMaskMatchesSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const base, pages = 0xffffffff81000000, 8
+	v := NewView()
+	for i := 0; i < 4000; i++ {
+		v.AddInst(base + uint64(rng.Intn(pages<<pageShift))&^(1<<instShift-1))
+	}
+	for i := 0; i < 200000; i++ {
+		va := base + uint64(rng.Intn((pages+2)<<pageShift))
+		if got, want := v.lineMask(va), lineMaskLoop(v, va); got != want {
+			t.Fatalf("lineMask(%#x) = %#x, slots give %#x", va, got, want)
+		}
 	}
 }

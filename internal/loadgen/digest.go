@@ -65,12 +65,16 @@ func bucketUpper(idx int) float64 {
 
 // Record streams one latency sample into the digest. It performs no
 // allocation and no floating-point division — safe for the replay hot loop.
+// Values at or above 2^64 (and +Inf) saturate into the top bucket: Go
+// leaves their uint64 conversion to the implementation.
 func (d *Digest) Record(cycles float64) {
-	v := uint64(0)
-	if cycles > 0 {
-		v = uint64(cycles)
+	idx := 0
+	if cycles >= 1<<64 {
+		idx = nBuckets - 1
+	} else if cycles > 0 {
+		idx = bucketOf(uint64(cycles))
 	}
-	d.buckets[bucketOf(v)]++
+	d.buckets[idx]++
 	d.count++
 	d.sum += cycles
 }
@@ -101,8 +105,9 @@ func (d *Digest) Mean() float64 {
 }
 
 // Quantile reports the q-th quantile (0 ≤ q ≤ 1) as the upper bound of the
-// bucket holding the ⌈q·count⌉-th sample. Relative error is bounded by
-// 2^-subBits for values in the log region; exact below 2^subBits.
+// bucket holding the nearest-rank sample: rank ⌊q·count + 0.5⌋, clamped to
+// [1, count]. Relative error is bounded by 2^-subBits for values in the log
+// region; exact below 2^subBits.
 func (d *Digest) Quantile(q float64) float64 {
 	if d.count == 0 {
 		return 0

@@ -62,6 +62,40 @@ func TestDigestEmptyAndClamp(t *testing.T) {
 	}
 }
 
+// Values at or beyond 2^64 saturate into the top bucket on every GOARCH;
+// a bare uint64 conversion sent +Inf to bucket 1888 on amd64.
+func TestDigestRecordSaturates(t *testing.T) {
+	top := bucketUpper(nBuckets - 1)
+	for _, v := range []float64{0x1p64, 1e30, math.MaxFloat64, math.Inf(1)} {
+		var d Digest
+		d.Record(v)
+		if d.buckets[nBuckets-1] != 1 {
+			t.Errorf("Record(%g) missed the top bucket", v)
+		}
+		if got := d.Quantile(1); got != top {
+			t.Errorf("Record(%g): max = %g, want %g", v, got, top)
+		}
+	}
+	// Just below 2^64 already falls in the top bucket by index arithmetic.
+	if bucketOf(math.MaxUint64) != nBuckets-1 {
+		t.Errorf("bucketOf(MaxUint64) = %d, want %d", bucketOf(math.MaxUint64), nBuckets-1)
+	}
+}
+
+// Quantile takes the nearest rank ⌊q·count + 0.5⌋: of ten exact values
+// q = 0.91 is the 9th (⌈q·count⌉ would be the 10th).
+func TestDigestQuantileNearestRank(t *testing.T) {
+	var d Digest
+	for v := 1; v <= 10; v++ {
+		d.Record(float64(v))
+	}
+	for _, c := range []struct{ q, want float64 }{{0.91, 9}, {0.94, 9}, {0.96, 10}, {0.05, 1}, {0.14, 1}, {0.16, 2}} {
+		if got := d.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
+		}
+	}
+}
+
 // Quantile estimates must stay within the advertised 2^-subBits relative
 // error (plus one bucket of upper-bound bias) of the true order statistic.
 func TestDigestQuantileErrorBound(t *testing.T) {
@@ -195,3 +229,37 @@ func BenchmarkReplay(b *testing.B) {
 		Replay(s, res, 100000, &d)
 	}
 }
+
+// replayShape is one taillats shard replay: a 128-sample reservoir (keep-
+// alive and churn strata at the 0.9 mix) and 250k Poisson arrivals at
+// rho ≈ 0.35 over 16 connections.
+func benchReplayShape(b *testing.B, keys uint64) {
+	const n = 250_000
+	res := NewReservoir(7)
+	for i := 0; i < 128; i++ {
+		if i%10 == 9 {
+			res.AddChurn(float64(9000 + i*37))
+		} else {
+			res.AddKeep(float64(2500 + i*13))
+		}
+	}
+	cfg := StreamConfig{Kind: Poisson, MeanGap: 10000, Conns: 16, KeepAliveP: 0.9, Keys: keys, ZipfS: 1.1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfg.Seed = int64(i)
+		s := NewStream(cfg)
+		var d Digest
+		b.StartTimer()
+		Replay(s, res, n, &d)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/req")
+}
+
+// BenchmarkReplayKeyed is the memcached/redis replay path: every request
+// also draws a Zipf key over 16384 keys.
+func BenchmarkReplayKeyed(b *testing.B) { benchReplayShape(b, 16384) }
+
+// BenchmarkReplayKeyless is the httpd/nginx replay path: no key draw.
+func BenchmarkReplayKeyless(b *testing.B) { benchReplayShape(b, 0) }

@@ -103,7 +103,7 @@ type Req struct {
 type Stream struct {
 	cfg   StreamConfig
 	rng   *rand.Rand
-	zipf  *rand.Zipf
+	zipf  *zipfSampler
 	clock float64
 	n     uint64
 }
@@ -116,13 +116,14 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.MeanGap <= 0 {
 		cfg.MeanGap = 1
 	}
-	s := &Stream{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), clock: cfg.Phase}
+	src := rand.NewSource(cfg.Seed)
+	s := &Stream{cfg: cfg, rng: rand.New(src), clock: cfg.Phase}
 	if cfg.Keys > 1 {
 		zs := cfg.ZipfS
 		if zs <= 1 {
 			zs = 1.1
 		}
-		s.zipf = rand.NewZipf(s.rng, zs, 1, cfg.Keys-1)
+		s.zipf = newZipfSampler(src, zs, cfg.Keys)
 	}
 	return s
 }
