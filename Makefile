@@ -70,11 +70,13 @@ check: vet lint inlinecheck race fuzzseed lockstepsmoke benchsmoke benchdiffsmok
 perfbenchtest:
 	cd perfbench && $(GO) test ./...
 
-# lockstepsmoke runs the bounded threaded-vs-interpreted differential
-# oracle at machine level: one scheme, a LEBench slice, one census gadget,
-# comparing per-committed-instruction state digests (DESIGN.md §10).
+# lockstepsmoke runs the bounded differential oracle at machine level: the
+# production executor against the memo-free reference interpreter over one
+# scheme, a LEBench slice, one census gadget, and one user-mode PoC byte,
+# comparing per-committed-instruction state digests and the final cache
+# hierarchies (DESIGN.md §10).
 lockstepsmoke:
-	$(GO) test -count=1 -run='^TestLockstepSmoke$$' ./internal/harness/
+	$(GO) test -count=1 -run='^TestLockstep(Smoke|UserMode)$$' ./internal/harness/
 
 # relsecsmoke runs the relative-security experiment end-to-end through the
 # CLI and asserts its two load-bearing verdicts: every sound scheme is

@@ -15,7 +15,7 @@
 // arms. The dispatch loop follows those pointers without re-entering the
 // PC-indexed lookup (the "threaded" in threaded code). Dynamic targets
 // (ret, icall, ijmp) and targets outside the decoded text fall back to
-// BlockAt, and from there to the interpreter.
+// BlockAt, and from there to decoding one instruction at a time.
 //
 // A Program is immutable once built and carries the kimage text version it
 // was decoded from; patching text bumps the version, which makes every
@@ -28,7 +28,7 @@ import "repro/internal/isa"
 
 // Block is one decoded superblock: a dense instruction stream ending at the
 // first control transfer (or at a text gap / undecodable word, in which case
-// it simply has no terminator and execution hands back to the interpreter).
+// it simply has no terminator and the executor decodes the next word alone).
 type Block struct {
 	// Ops is the decoded stream; the final op is the terminator iff its
 	// kind IsControl. Ops aliases the run arena shared with every other
@@ -38,7 +38,7 @@ type Block struct {
 	// Succ is the pre-resolved target block of an unconditional Jmp/Call
 	// terminator; SuccTaken/SuccFall are the two arms of a Branch. Nil
 	// when the target is outside the decoded text (the dispatch loop falls
-	// back to BlockAt, then to the interpreter).
+	// back to BlockAt, then to decoding one instruction at a time).
 	Succ      *Block
 	SuccTaken *Block
 	SuccFall  *Block
@@ -63,8 +63,7 @@ type Program struct {
 }
 
 // Build decodes the linked text (flat indexed by (va-base)/InstBytes, valid
-// marking linked slots — the same aliased arrays cpu.SetKernelText takes)
-// into a Program. entries lists additional guaranteed leaders (function
+// marking linked slots) into a Program. entries lists additional guaranteed leaders (function
 // entry VAs). version is the kimage text version the decode is valid for.
 func Build(base uint64, flat []isa.Inst, valid []bool, entries []uint64, version uint64) *Program {
 	n := len(flat)
@@ -105,9 +104,9 @@ func Build(base uint64, flat []isa.Inst, valid []bool, entries []uint64, version
 	// Pass 2: decode each maximal straight-line run once into an arena
 	// slice, then hang a suffix Block off every leader inside it. A run
 	// ends at (and includes) the first control instruction, or ends early
-	// at a gap or an undecodable word — DBad ops are never emitted, so the
-	// dispatch loop cannot execute one (the interpreter faults on the word
-	// exactly as it always has).
+	// at a gap or an undecodable word — DBad ops are never emitted, so a
+	// program block cannot hold one (the executor decodes the word alone
+	// and faults on it).
 	for s := 0; s < n; {
 		if !valid[s] {
 			s++
@@ -185,8 +184,8 @@ func (p *Program) slotOf(va uint64) (int, bool) {
 }
 
 // BlockAt returns the decoded block starting at pc, or nil when pc is not a
-// decoded leader (the caller falls back to the interpreter, which makes
-// progress one instruction at a time until the next leader).
+// decoded leader (the executor then decodes one instruction at a time until
+// it reaches the next leader).
 func (p *Program) BlockAt(pc uint64) *Block {
 	idx := (pc - p.base) / isa.InstBytes
 	if pc%isa.InstBytes != 0 || idx >= uint64(len(p.blocks)) {

@@ -3,7 +3,6 @@ package cpu
 import (
 	"testing"
 
-	"repro/internal/bbcache"
 	"repro/internal/isa"
 )
 
@@ -50,12 +49,9 @@ func BenchmarkIssueLoop(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
-// dispatchWorld is benchWorld with the program also installed as flat
-// kernel text, optionally pre-decoded into the threaded engine. The
-// program, memory layout, and warmup are identical across the pair, so the
-// Interp/Threaded delta isolates dispatch cost: fetch+decode+switch per
-// instruction vs pre-decoded block replay.
-func dispatchWorld(b *testing.B, threaded bool) (*world, uint64) {
+// dispatchWorld is benchWorld's program pre-decoded and attached: the
+// production executor replaying decoded blocks.
+func dispatchWorld(b *testing.B) (*world, uint64) {
 	w := newWorld()
 	a := isa.NewAsm()
 	a.MovImm(isa.R2, 0)
@@ -69,26 +65,21 @@ func dispatchWorld(b *testing.B, threaded bool) (*world, uint64) {
 	a.Branch(isa.CLT, isa.R2, isa.R3, "loop")
 	a.Halt()
 	w.code.place(entry, a.MustBuild())
-	base, flat, valid := flatten(w.code)
-	w.core.SetKernelText(base, flat, valid)
-	if threaded {
-		prog := bbcache.Build(entry, flat, valid, []uint64{entry}, 1)
-		if prog.NumBlocks() == 0 {
-			b.Fatal("no blocks decoded")
-		}
-		w.core.SetThreadedSource(func() *bbcache.Program { return prog })
-	}
+	attachProgram(b, w)
 	if res := w.core.Run(entry, 100000); res.Fault || res.Truncated {
 		b.Fatalf("warmup run: %+v", res)
 	}
-	if threaded && w.core.Stats.ThreadedInsts == 0 {
+	if w.core.Stats.ThreadedInsts == 0 {
 		b.Fatal("threaded engine never ran")
 	}
 	return w, entry
 }
 
-func benchDispatch(b *testing.B, threaded bool) {
-	w, pc := dispatchWorld(b, threaded)
+// BenchmarkDispatchThreaded runs benchWorld's hot loop through the
+// executor's decoded blocks: per-instruction dispatch cost in isolation
+// from policy, wrong-path, and kernel effects.
+func BenchmarkDispatchThreaded(b *testing.B) {
+	w, pc := dispatchWorld(b)
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
@@ -101,18 +92,11 @@ func benchDispatch(b *testing.B, threaded bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
-// BenchmarkDispatchInterp and BenchmarkDispatchThreaded run the same hot
-// loop through the two engines; compare their ns/inst to read off the
-// dispatch saving in isolation from policy, wrong-path, and kernel effects.
-func BenchmarkDispatchInterp(b *testing.B)   { benchDispatch(b, false) }
-func BenchmarkDispatchThreaded(b *testing.B) { benchDispatch(b, true) }
-
 // BenchmarkAccessL0 measures the committed-path data access with the L0
 // line-lookaside warm: every access is a micro-cache hit that replays the
-// L1-MRU transition via CommitHit. The delta against the same loop with the
-// L0 disabled (run it with -l0off via SetL0Enabled in a copy, or compare
-// against cache.BenchmarkAccessHot plus the Hierarchy dispatch) is the fast
-// path's per-access saving.
+// L1-MRU transition via CommitHit. The delta against
+// cache.BenchmarkAccessHot plus the Hierarchy dispatch — the access the
+// reference interpreter makes — is the fast path's per-access saving.
 func BenchmarkAccessL0(b *testing.B) {
 	w := newWorld()
 	addrs := make([]uint64, 64)
@@ -160,13 +144,7 @@ func transientWorld(b *testing.B) (*world, uint64) {
 	a.Branch(isa.CLT, isa.R2, isa.R3, "loop")
 	a.Halt()
 	w.code.place(entry, a.MustBuild())
-	base, flat, valid := flatten(w.code)
-	w.core.SetKernelText(base, flat, valid)
-	prog := bbcache.Build(entry, flat, valid, []uint64{entry}, 1)
-	if prog.NumBlocks() == 0 {
-		b.Fatal("no blocks decoded")
-	}
-	w.core.SetThreadedSource(func() *bbcache.Program { return prog })
+	attachProgram(b, w)
 	if res := w.core.Run(entry, 100000); res.Fault || res.Truncated {
 		b.Fatalf("warmup run: %+v", res)
 	}

@@ -231,14 +231,6 @@ type Core struct {
 	Policy Policy
 	Tracer Tracer
 
-	// Kernel-text fast path: a contiguous decoded-instruction array the
-	// fetch loop indexes directly, bypassing the CodeSource interface call
-	// for the common case (kernel code dominates every workload). Filled by
-	// SetKernelText; fetches outside it fall back to Code.FetchInst.
-	ktextBase  uint64
-	ktext      []isa.Inst
-	ktextValid []bool
-
 	// Fault, when set, injects microarchitectural faults: spurious
 	// squashes at resolved branches and delayed view-context switches.
 	Fault FaultHook
@@ -287,11 +279,15 @@ type Core struct {
 	tbuf   []transientStore
 	tstack []uint64
 
-	// progSrc supplies the pre-decoded program for the threaded engine
+	// progSrc supplies the pre-decoded program the executor dispatches on
 	// (SetThreadedSource); prog caches it for the duration of one Run. Nil
-	// keeps the core purely interpretive.
+	// selects the reference interpreter (reference.go), which tests use as
+	// the lockstep oracle's independent semantics.
 	progSrc func() *bbcache.Program
 	prog    *bbcache.Program
+	// one is the executor's decode-one scratch block: a single op decoded
+	// from Code.FetchInst for a PC no program block covers.
+	one bbcache.Block
 
 	// stepHook, when set, is invoked with the PC of every committed-path
 	// instruction after its architectural and timing effects land — the
@@ -301,12 +297,11 @@ type Core struct {
 
 	// L0 line-lookaside micro-caches (l0.go): committed-path host-side
 	// shortcuts in front of L1D/L1I, validated by the caches' generation
-	// counters. l0off disables them for differential testing.
+	// counters. The reference interpreter never consults them.
 	l0d      [l0Size]l0Entry
 	l0i      [l0Size]l0Entry
 	l0dShift uint
 	l0iShift uint
-	l0off    bool
 }
 
 // New builds a core around the given subsystems with an AllowAll policy.
@@ -319,6 +314,7 @@ func New(cfg Config, code CodeSource, mem *memsim.Mem, h *cache.Hierarchy, bp *p
 		BP:         bp,
 		Policy:     AllowAll{},
 		commitRing: make([]float64, cfg.ROB),
+		one:        bbcache.Block{Ops: make([]isa.DOp, 1)},
 	}
 	if h != nil {
 		c.l0dShift = h.L1D.LineShift()
@@ -326,27 +322,6 @@ func New(cfg Config, code CodeSource, mem *memsim.Mem, h *cache.Hierarchy, bp *p
 	}
 	return c
 }
-
-// SetKernelText installs the decoded kernel image for direct-indexed fetch.
-// flat is indexed by (va-base)/InstBytes; valid marks linked slots. The
-// arrays are aliased, not copied — they must stay immutable while the core
-// runs (the kernel image already guarantees this). Purely a host-side fetch
-// shortcut: results are identical to routing every fetch through Code.
-func (c *Core) SetKernelText(base uint64, flat []isa.Inst, valid []bool) {
-	c.ktextBase, c.ktext, c.ktextValid = base, flat, valid
-}
-
-// fetch resolves one instruction, preferring the direct kernel-text array.
-// A pc below the base wraps the subtraction to a huge index and takes the
-// slow path; the split keeps the common case within the inlining budget.
-func (c *Core) fetch(pc uint64) *isa.Inst {
-	if idx := (pc - c.ktextBase) / isa.InstBytes; pc%isa.InstBytes == 0 && idx < uint64(len(c.ktext)) && c.ktextValid[idx] {
-		return &c.ktext[idx]
-	}
-	return c.fetchSlow(pc)
-}
-
-func (c *Core) fetchSlow(pc uint64) *isa.Inst { return c.Code.FetchInst(pc) }
 
 // Now reports the current simulated cycle.
 func (c *Core) Now() float64 { return c.now }
@@ -396,8 +371,8 @@ func (c *Core) ExitKernel() {
 
 // reg reads a register, honouring the hardwired zero. Regs[R0] is
 // identically zero — every write site guards Rd != R0 and nothing else
-// writes slot 0 — so the hot threaded engine reads c.Regs[r] directly;
-// this helper keeps the explicit special case for the interpreter.
+// writes slot 0 — so the executor reads c.Regs[r] directly; this helper
+// keeps the explicit special case for the reference interpreter.
 func (c *Core) reg(r isa.Reg) uint64 {
 	if r == isa.R0 {
 		return 0
@@ -467,32 +442,27 @@ func (c *Core) fetchTimingLine(pc, line uint64) {
 // entry frame, a fault, or maxInsts committed instructions. The caller sets
 // up c.Regs first; R1 at exit is the conventional return value.
 //
-// Committed-path kernel instructions dispatch through the threaded engine
-// (runThreaded) whenever a decoded program is attached; everything else —
-// user code, decoded-cache misses, undecodable words, budget cutoffs —
-// executes here one instruction at a time. Both engines are exact timing
-// mirrors, so the handoff can happen at any instruction boundary.
+// The engine is chosen once, here: with a decoded program attached (every
+// production core) the DOp executor (runThreaded) runs every committed
+// instruction, decoding one op at a time where no program block applies;
+// with none attached the memo-free reference interpreter (stepRef,
+// reference.go) runs instead. The two are exact timing mirrors, which the lockstep
+// oracle checks.
 func (c *Core) Run(entry uint64, maxInsts int) RunResult {
 	start := c.now
 	var res RunResult
 	baseDepth := len(c.callStack)
-	pc := entry
 	c.traceEnter(entry)
 	fetchSlot := 1.0 / float64(c.Cfg.Width)
 	c.prog = nil
 	if c.progSrc != nil {
 		c.prog = c.progSrc()
 	}
-	for {
-		if c.prog != nil && c.kernelMode {
-			var done bool
-			if pc, done = c.runThreaded(pc, maxInsts, fetchSlot, &res, baseDepth); done {
-				break
-			}
-		}
-		var done bool
-		if pc, done = c.stepInterp(pc, maxInsts, fetchSlot, &res, baseDepth); done {
-			break
+	if c.prog != nil {
+		c.runThreaded(entry, maxInsts, fetchSlot, &res, baseDepth)
+	} else {
+		for pc, done := entry, false; !done; {
+			pc, done = c.stepRef(pc, maxInsts, fetchSlot, &res, baseDepth)
 		}
 	}
 	// Unwind any frames left by a truncated/faulted run.
@@ -506,291 +476,6 @@ func (c *Core) Run(entry uint64, maxInsts int) RunResult {
 	}
 	res.Cycles = c.now - start
 	return res
-}
-
-// stepInterp executes exactly one instruction the slow way: fetch, decode,
-// dispatch. It returns the next PC and whether the run ended. This is the
-// reference semantics the threaded engine mirrors; keep the two in sync
-// (the lockstep oracle enforces it).
-func (c *Core) stepInterp(pc uint64, maxInsts int, fetchSlot float64, res *RunResult, baseDepth int) (uint64, bool) {
-	if res.Insts >= uint64(maxInsts) {
-		res.Truncated = true
-		return pc, true
-	}
-	inst := c.fetch(pc)
-	if inst == nil || (!c.kernelMode && memsim.IsKernel(pc)) {
-		// Unmapped, or user-mode fetch of kernel text (SMEP).
-		res.Fault = true
-		res.FaultPC = pc
-		c.Stats.Faults++
-		return pc, true
-	}
-	c.fetchTiming(pc)
-	c.now += fetchSlot
-	res.Insts++
-	c.Stats.Insts++
-
-	next := pc + isa.InstBytes
-	stop := false
-	switch inst.Op {
-	case isa.OpNop:
-		c.commit(c.now)
-
-	case isa.OpALU:
-		startT := max(c.now, c.ready(inst.Rs1), c.ready(inst.Rs2))
-		lat := 1.0
-		if inst.AK == isa.AMul {
-			lat = float64(c.Cfg.MulLatency)
-			// A multiply is a Port-channel transmitter: under STT-like
-			// policies a tainted speculative multiply must wait.
-			if startT < c.specUntil {
-				c.acc = Access{
-					PC: pc, IsLoad: false, Ctx: c.ctx, Kernel: c.kernelMode,
-					AddrTainted: c.tainted(inst.Rs1, startT) || c.tainted(inst.Rs2, startT),
-				}
-				switch c.Policy.OnTransmit(&c.acc) {
-				case Block:
-					c.Stats.Fences++
-					c.Stats.FenceDelay += c.specUntil - startT
-					startT = c.specUntil
-					c.now += c.Cfg.FencePenalty
-				case BlockUntaint:
-					c.Stats.Fences++
-					if u := max(c.taintUntil[inst.Rs1], c.taintUntil[inst.Rs2]); u > startT {
-						c.Stats.FenceDelay += u - startT
-						startT = u
-					}
-				}
-			}
-		}
-		v := isa.EvalALU(inst.AK, c.reg(inst.Rs1), c.reg(inst.Rs2), inst.Imm)
-		done := startT + lat
-		c.setReg(inst.Rd, v)
-		if inst.Rd != isa.R0 {
-			c.readyAt[inst.Rd] = done
-			// Taint propagates through arithmetic; immediates clear it.
-			switch inst.AK {
-			case isa.AMovImm:
-				c.taintUntil[inst.Rd] = 0
-			default:
-				t1, t2 := c.taintUntil[inst.Rs1], c.taintUntil[inst.Rs2]
-				if inst.Rs1 == isa.R0 {
-					t1 = 0
-				}
-				if inst.Rs2 == isa.R0 {
-					t2 = 0
-				}
-				c.taintUntil[inst.Rd] = max(t1, t2)
-			}
-		}
-		c.commit(done)
-
-	case isa.OpLoad:
-		c.Stats.Loads++
-		startT := max(c.now, c.ready(inst.Rs1))
-		va := c.reg(inst.Rs1) + uint64(inst.Imm)
-		pa, okA := c.Mem.Resolve(va, inst.Size)
-		if !okA {
-			res.Fault = true
-			res.FaultPC, res.FaultVA = pc, va
-			c.Stats.Faults++
-			stop = true
-			break
-		}
-		if startT < c.specUntil {
-			c.acc = Access{
-				PC: pc, VA: va, IsLoad: true, Ctx: c.ctx, Kernel: c.kernelMode,
-				L1Hit:       c.H.L1D.Lookup(pa),
-				AddrTainted: c.tainted(inst.Rs1, startT),
-			}
-			switch c.Policy.OnTransmit(&c.acc) {
-			case Block:
-				c.Stats.Fences++
-				c.Stats.FenceDelay += c.specUntil - startT
-				startT = c.specUntil // wait for the visibility point
-				c.now += c.Cfg.FencePenalty
-			case BlockUntaint:
-				// STT integrates the delay into wakeup: no re-issue
-				// cost, only the taint-expiry wait.
-				c.Stats.Fences++
-				if u := c.taintUntil[inst.Rs1]; u > startT {
-					c.Stats.FenceDelay += u - startT
-					startT = u
-				}
-			}
-		}
-		lat := c.l0Data(pa)
-		v := c.Mem.LoadPA(pa, inst.Size)
-		done := startT + float64(lat)
-		c.setReg(inst.Rd, v)
-		if inst.Rd != isa.R0 {
-			c.readyAt[inst.Rd] = done
-			if startT < c.specUntil {
-				// Value obtained speculatively: tainted until the
-				// shadow resolves.
-				c.taintUntil[inst.Rd] = c.specUntil
-			} else {
-				c.taintUntil[inst.Rd] = 0
-			}
-		}
-		c.commit(done)
-
-	case isa.OpStore:
-		c.Stats.Stores++
-		startT := max(c.now, c.ready(inst.Rs1), c.ready(inst.Rs2))
-		va := c.reg(inst.Rs1) + uint64(inst.Imm)
-		pa, okA := c.Mem.Resolve(va, inst.Size)
-		if !okA {
-			res.Fault = true
-			res.FaultPC, res.FaultVA = pc, va
-			c.Stats.Faults++
-			stop = true
-			break
-		}
-		c.Mem.StorePA(pa, inst.Size, c.reg(inst.Rs2))
-		c.l0Data(pa)
-		c.commit(startT + 1)
-
-	case isa.OpBranch:
-		c.Stats.Branches++
-		startT := max(c.now+float64(c.Cfg.ExecDelay), c.ready(inst.Rs1), c.ready(inst.Rs2))
-		resolve := startT + 1
-		taken := isa.EvalCond(inst.CK, c.reg(inst.Rs1), c.reg(inst.Rs2))
-		predicted := c.BP.Cond.Predict(pc)
-		c.BP.Cond.Update(pc, taken)
-		if c.specUntil < resolve {
-			c.specUntil = resolve
-		}
-		if predicted != taken {
-			c.Stats.Mispredicts++
-			wrong := next
-			if predicted {
-				wrong = inst.Target
-			}
-			c.squashWindow(pc, wrong, resolve)
-		} else if c.Fault != nil && c.Fault.SpuriousSquash(pc) {
-			// Injected fault: a correctly predicted branch is squashed
-			// anyway. The frontend transiently runs the untaken
-			// direction before the redirect — wrong-path execution
-			// where a healthy pipeline has none — and pays the full
-			// redirect penalty. Architectural state must survive (the
-			// checker asserts it).
-			wrong := inst.Target
-			if taken {
-				wrong = next
-			}
-			c.squashWindow(pc, wrong, resolve)
-		}
-		if taken {
-			next = inst.Target
-		}
-		c.commit(resolve)
-
-	case isa.OpJmp:
-		c.commit(c.now)
-		next = inst.Target
-
-	case isa.OpCall:
-		c.callStack = append(c.callStack, next)
-		c.BP.RAS.Push(next)
-		c.commit(c.now)
-		c.traceEnter(inst.Target)
-		next = inst.Target
-
-	case isa.OpICall, isa.OpIJmp:
-		c.Stats.Branches++
-		startT := max(c.now+float64(c.Cfg.ExecDelay), c.ready(inst.Rs1))
-		resolve := startT + 1
-		actual := c.reg(inst.Rs1)
-		if c.specUntil < resolve {
-			c.specUntil = resolve
-		}
-		if p := c.Policy.IndirectPenalty(); p > 0 && c.kernelMode {
-			// Retpoline: the indirect branch is converted into a
-			// serialized construct — extra cycles, no target
-			// speculation.
-			c.now = resolve + float64(p)
-		} else {
-			predicted, okP := c.BP.BTB.Predict(pc)
-			if okP && predicted != actual {
-				// Speculative control-flow hijack window (Spectre v2).
-				c.Stats.Mispredicts++
-				c.squashWindow(pc, predicted, resolve)
-			} else if !okP {
-				// BTB miss: the frontend stalls until resolution.
-				c.now = resolve
-			}
-		}
-		c.BP.BTB.Update(pc, actual)
-		if inst.Op == isa.OpICall {
-			c.callStack = append(c.callStack, next)
-			c.BP.RAS.Push(next)
-			c.traceEnter(actual)
-		}
-		c.commit(resolve)
-		next = actual
-
-	case isa.OpRet:
-		c.Stats.Branches++
-		if len(c.callStack) == baseDepth {
-			// Returning from the entry frame ends the run. This return
-			// has no matching push inside the run, so its prediction
-			// comes from whatever the RAS holds — stale entries from an
-			// earlier context included. That is the Retbleed / Spectre
-			// RSB window of Figure 4.2: the victim "returns from
-			// Function 1" and speculatively lands wherever the attacker
-			// arranged.
-			resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
-			if c.specUntil < resolve {
-				c.specUntil = resolve
-			}
-			if predicted, okP := c.BP.RAS.Pop(); okP && predicted != 0 {
-				c.Stats.Mispredicts++
-				c.squashWindow(pc, predicted, resolve)
-			}
-			c.commit(resolve)
-			res.Ret = c.reg(isa.R1)
-			stop = true
-			break
-		}
-		actual := c.callStack[len(c.callStack)-1]
-		c.callStack = c.callStack[:len(c.callStack)-1]
-		// The architectural target comes from the in-memory stack; give
-		// it an L1 load latency past the execute stage.
-		resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
-		if c.specUntil < resolve {
-			c.specUntil = resolve
-		}
-		predicted, okP := c.BP.RAS.Pop()
-		if okP && predicted != actual {
-			// Return target hijack window (Spectre RSB / Retbleed).
-			c.Stats.Mispredicts++
-			c.squashWindow(pc, predicted, resolve)
-		} else if !okP {
-			c.now = resolve
-		}
-		c.commit(resolve)
-		next = actual
-
-	case isa.OpFence:
-		// lfence: nothing younger may issue before all older work
-		// resolves.
-		c.now = max(c.now, c.specUntil, c.lastCommit)
-		c.commit(c.now)
-
-	case isa.OpHalt:
-		c.commit(c.now)
-		res.Ret = c.reg(isa.R1)
-		stop = true
-
-	default:
-		res.Fault = true
-		stop = true
-	}
-	if c.stepHook != nil {
-		c.stepHook(pc)
-	}
-	return next, stop
 }
 
 func (c *Core) traceEnter(va uint64) {

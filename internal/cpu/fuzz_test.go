@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzBlockDecode feeds arbitrary bytes through the instruction synthesizer
-// below and runs the resulting program on a threaded/interpreted world pair
+// below and runs the resulting program on a production/reference world pair
 // under the lockstep oracle. The input space deliberately covers what the
 // block builder must survive: undecodable opcode values, text gaps, jumps
 // into the middle of decoded runs, self-loops, indirect branches through
@@ -50,7 +50,9 @@ func fuzzProgram(data []byte) ([]isa.Inst, []bool) {
 // fuzzWorld builds one world around the synthesized program, with a few
 // registers seeded to point into mapped memory (so loads/stores sometimes
 // hit, sometimes chase pointers, sometimes fault) and the rest to small
-// integers. Both members of a pair run this identically.
+// integers. The valid slots are placed in the world's code source; the
+// production member also gets them decoded into a program. Both members of
+// a pair run this identically.
 func fuzzWorld(insts []isa.Inst, valid []bool, threaded bool) *world {
 	w := newWorld()
 	for r := 2; r < 10; r++ {
@@ -65,7 +67,11 @@ func fuzzWorld(insts []isa.Inst, valid []bool, threaded bool) *world {
 	copy(flat, insts)
 	v := make([]bool, len(valid))
 	copy(v, valid)
-	w.core.SetKernelText(entry, flat, v)
+	for i := range flat {
+		if v[i] {
+			w.code.m[entry+uint64(i)*isa.InstBytes] = &flat[i]
+		}
+	}
 	if threaded {
 		prog := bbcache.Build(entry, flat, v, nil, 1)
 		w.core.SetThreadedSource(func() *bbcache.Program { return prog })

@@ -16,13 +16,15 @@
 // line. There is no partial invalidation to get wrong: any content change
 // in a set invalidates every outstanding entry for that set at once.
 //
-// The L0 is consulted from the committed path only — stepInterp and
-// runThreaded loads/stores, and fetchTimingLine instruction fetches.
-// Transient (wrong-path) accesses must take the full hierarchy: their LRU
-// deferral (updateLRU=false) is a different state transition, and routing
-// them around the Policy consult in specLoad would open a side channel the
+// The L0 is consulted from the executor's committed path only — runThreaded
+// loads/stores and fetchTimingLine instruction fetches. Transient
+// (wrong-path) accesses must take the full hierarchy: their LRU deferral
+// (updateLRU=false) is a different state transition, and routing them
+// around the Policy consult in specLoad would open a side channel the
 // defenses never see. perspective-lint's l0gate analyzer enforces that
-// confinement statically.
+// confinement statically. The L0 has no off switch: the reference
+// interpreter (reference.go) charges every access through the hierarchy
+// itself, so lockstep against it checks the L0 on every committed access.
 package cpu
 
 // l0Bits sizes the direct-mapped tables: 512 entries cover 32 KB of
@@ -42,19 +44,11 @@ type l0Entry struct {
 	slot int32
 }
 
-// SetL0Enabled switches the micro-caches off (and drops their contents) or
-// back on. Differential suites pin L0-on ≡ L0-off; the default is on.
-func (c *Core) SetL0Enabled(on bool) {
-	c.l0off = !on
-	c.l0d = [l0Size]l0Entry{}
-	c.l0i = [l0Size]l0Entry{}
-}
-
 // l0DataFast is the committed-path D-side lookaside probe: on a valid entry
 // it re-applies the L1-MRU hit transition and returns the L1 hit latency;
 // on a miss it returns -1 and the caller takes l0DataSlow. The split keeps
-// the probe within the inlining budget so the hot engines pay no call on
-// the (overwhelmingly common) hit.
+// the probe within the inlining budget so the executor pays no call on the
+// (overwhelmingly common) hit.
 func (c *Core) l0DataFast(pa uint64) int {
 	line := pa >> c.l0dShift
 	e := &c.l0d[line&l0Mask]
@@ -71,24 +65,11 @@ func (c *Core) l0DataFast(pa uint64) int {
 // after the access so any fill the access itself performed is folded in.
 func (c *Core) l0DataSlow(pa uint64) int {
 	lat, _ := c.H.AccessData(pa, true)
-	if c.l0off {
-		return lat
-	}
 	if slot, ok := c.H.L1D.MRUSlot(pa); ok {
 		line := pa >> c.l0dShift
 		c.l0d[line&l0Mask] = l0Entry{line: line + 1, gen: c.H.L1D.GenAt(pa), slot: slot}
 	}
 	return lat
-}
-
-// l0Data is the two-level access the interpreter path uses: exactly
-// `lat, _ := c.H.AccessData(pa, true)` with the MRU re-hit case
-// short-circuited. The threaded engine calls the Fast/Slow pair directly.
-func (c *Core) l0Data(pa uint64) int {
-	if lat := c.l0DataFast(pa); lat >= 0 {
-		return lat
-	}
-	return c.l0DataSlow(pa)
 }
 
 // l0Inst is the committed-path I-side access used by fetchTimingLine: a hit
@@ -107,9 +88,6 @@ func (c *Core) l0Inst(la uint64) bool {
 
 // l0InstInstall records la's line after a full AccessInst resolved it.
 func (c *Core) l0InstInstall(la uint64) {
-	if c.l0off {
-		return
-	}
 	if slot, ok := c.H.L1I.MRUSlot(la); ok {
 		line := la >> c.l0iShift
 		c.l0i[line&l0Mask] = l0Entry{line: line + 1, gen: c.H.L1I.GenAt(la), slot: slot}

@@ -8,20 +8,6 @@ import (
 	"repro/internal/memsim"
 )
 
-// l0Pair builds two identical worlds running the same program, one with the
-// L0 micro-caches enabled (the default) and one with them disabled — the
-// differential oracle for the fast path's "state no-op" claim: every
-// observable (registers, cycle counts, full hierarchy digests, stats) must
-// be identical however the churn lands.
-func l0Pair(t *testing.T, build func(w *world)) (on, off *world) {
-	t.Helper()
-	on, off = newWorld(), newWorld()
-	build(on)
-	build(off)
-	off.core.SetL0Enabled(false)
-	return on, off
-}
-
 // randProgram emits a deterministic pseudo-random mix of loads, stores, ALU
 // ops and a data-dependent branch loop over a window of direct-mapped data.
 // The loop re-runs the same lines (exercising the L0 hit path), the stride
@@ -61,28 +47,37 @@ func randProgram(rng *rand.Rand, dataVA uint64, lines int) []isa.Inst {
 	return a.MustBuild()
 }
 
-// requireSameState asserts every observable of the two worlds matches.
-func requireSameState(t *testing.T, on, off *world, when string) {
+// simStats is s without the host-side engine counters, which describe
+// which engine ran rather than the simulated machine.
+func simStats(s Stats) Stats {
+	s.ThreadedInsts, s.BBLookups, s.BBHits, s.BBChains = 0, 0, 0, 0
+	return s
+}
+
+// requireSameState asserts every observable of the two worlds matches: the
+// production core (L0 in front of L1D/L1I) against the reference core,
+// which charges every access through the hierarchy itself.
+func requireSameState(t *testing.T, prod, ref *world, when string) {
 	t.Helper()
-	if a, b := on.h.StateDigest(), off.h.StateDigest(); a != b {
-		t.Fatalf("%s: hierarchy digest diverged: L0-on %#x, L0-off %#x", when, a, b)
+	if a, b := prod.h.StateDigest(), ref.h.StateDigest(); a != b {
+		t.Fatalf("%s: hierarchy digest diverged: production %#x, reference %#x", when, a, b)
 	}
-	if on.core.Regs != off.core.Regs {
-		t.Fatalf("%s: register files diverged:\non:  %v\noff: %v", when, on.core.Regs, off.core.Regs)
+	if prod.core.Regs != ref.core.Regs {
+		t.Fatalf("%s: register files diverged:\nproduction: %v\nreference:  %v", when, prod.core.Regs, ref.core.Regs)
 	}
-	if a, b := on.core.Stats, off.core.Stats; a != b {
-		t.Fatalf("%s: stats diverged:\non:  %+v\noff: %+v", when, a, b)
+	if a, b := simStats(prod.core.Stats), simStats(ref.core.Stats); a != b {
+		t.Fatalf("%s: stats diverged:\nproduction: %+v\nreference:  %+v", when, a, b)
 	}
 }
 
-// TestL0DifferentialRandom drives randomized programs through an L0-enabled
-// and an L0-disabled core while churning the hierarchy between quanta with
-// flushes, invalidations (the KPTI-style whole-cache drop), and external
-// fills, asserting bit-identical state and timing throughout.
+// TestL0DifferentialRandom drives randomized programs through a production
+// core and the L0-free reference core while churning the hierarchy between
+// quanta with flushes, invalidations (the KPTI-style whole-cache drop), and
+// external fills, asserting bit-identical state and timing throughout.
 func TestL0DifferentialRandom(t *testing.T) {
 	const dataPA = uint64(0x4000)
 	for seed := int64(1); seed <= 8; seed++ {
-		on, off := l0Pair(t, func(w *world) {
+		prod, ref := lockstepPair(t, func(w *world) {
 			prog := randProgram(rand.New(rand.NewSource(seed)), dm(dataPA), 24)
 			w.code.place(entry, prog)
 			// Fresh rng per world so both see identical data.
@@ -93,12 +88,12 @@ func TestL0DifferentialRandom(t *testing.T) {
 		})
 		rng := rand.New(rand.NewSource(seed + 100))
 		for round := 0; round < 6; round++ {
-			ra := on.core.Run(entry, 4000)
-			rb := off.core.Run(entry, 4000)
+			ra := prod.core.Run(entry, 4000)
+			rb := ref.core.Run(entry, 4000)
 			if ra != rb {
-				t.Fatalf("seed %d round %d: run results diverged:\non:  %+v\noff: %+v", seed, round, ra, rb)
+				t.Fatalf("seed %d round %d: run results diverged:\nproduction: %+v\nreference:  %+v", seed, round, ra, rb)
 			}
-			requireSameState(t, on, off, "after run")
+			requireSameState(t, prod, ref, "after run")
 			// Hierarchy churn applied identically to both: targeted flushes,
 			// the occasional full invalidation, and external fills that land
 			// in the same sets the program uses.
@@ -106,58 +101,39 @@ func TestL0DifferentialRandom(t *testing.T) {
 				pa := dataPA + uint64(rng.Intn(24))*64
 				switch rng.Intn(4) {
 				case 0:
-					on.h.FlushData(pa)
-					off.h.FlushData(pa)
+					prod.h.FlushData(pa)
+					ref.h.FlushData(pa)
 				case 1:
-					on.h.AccessData(pa+0x10000, true)
-					off.h.AccessData(pa+0x10000, true)
+					prod.h.AccessData(pa+0x10000, true)
+					ref.h.AccessData(pa+0x10000, true)
 				case 2:
-					on.h.AccessInst(pa)
-					off.h.AccessInst(pa)
+					prod.h.AccessInst(pa)
+					ref.h.AccessInst(pa)
 				case 3:
 					if rng.Intn(4) == 0 {
-						on.h.L1D.InvalidateAll()
-						off.h.L1D.InvalidateAll()
+						prod.h.L1D.InvalidateAll()
+						ref.h.L1D.InvalidateAll()
 					}
 				}
 			}
 			if rng.Intn(3) == 0 { // KPTI-style: drop both L1s wholesale
-				on.h.L1I.InvalidateAll()
-				off.h.L1I.InvalidateAll()
-				on.h.L1D.InvalidateAll()
-				off.h.L1D.InvalidateAll()
+				prod.h.L1I.InvalidateAll()
+				ref.h.L1I.InvalidateAll()
+				prod.h.L1D.InvalidateAll()
+				ref.h.L1D.InvalidateAll()
 			}
-			requireSameState(t, on, off, "after churn")
+			requireSameState(t, prod, ref, "after churn")
 		}
-	}
-}
-
-// TestL0DisableClears pins SetL0Enabled(false)'s contract: after disabling,
-// the fast path never fires (committed accesses still work, through the
-// full hierarchy) and re-enabling starts cold rather than serving entries
-// from before the disabled window.
-func TestL0DisableClears(t *testing.T) {
-	w := newWorld()
-	pa := uint64(0x4000)
-	w.core.l0DataSlow(pa) // fill L1D and install the L0 entry
-	if lat := w.core.l0DataFast(pa); lat != w.h.L1Lat {
-		t.Fatalf("expected a warm L0 hit, got %d", lat)
-	}
-	w.core.SetL0Enabled(false)
-	if lat := w.core.l0DataFast(pa); lat != -1 {
-		t.Fatalf("disabled L0 still hit: %d", lat)
-	}
-	w.core.l0DataSlow(pa) // must not install while disabled
-	w.core.SetL0Enabled(true)
-	if lat := w.core.l0DataFast(pa); lat != -1 {
-		t.Fatalf("re-enabled L0 served a stale entry: %d", lat)
+		if prod.core.Stats.ThreadedInsts == 0 {
+			t.Fatalf("seed %d: production core never ran a program block", seed)
+		}
 	}
 }
 
 // FuzzL0Differential is the fuzz form of the differential (registered in
 // `make fuzzseed`): the input bytes choose the program seed and the churn
-// schedule, and any state or timing divergence between L0-on and L0-off
-// panics the property.
+// schedule, and any state or timing divergence between the production and
+// the reference core fails the property.
 func FuzzL0Differential(f *testing.F) {
 	f.Add(int64(42), []byte{0, 1, 2, 3})
 	f.Add(int64(7), []byte{0xff, 0x80, 0x41})
@@ -166,7 +142,7 @@ func FuzzL0Differential(f *testing.F) {
 			churn = churn[:64]
 		}
 		const dataPA = uint64(0x4000)
-		on, off := l0Pair(t, func(w *world) {
+		prod, ref := lockstepPair(t, func(w *world) {
 			prog := randProgram(rand.New(rand.NewSource(seed)), dm(dataPA), 16)
 			w.code.place(entry, prog)
 			r := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -174,31 +150,31 @@ func FuzzL0Differential(f *testing.F) {
 				w.phys.Write64(dataPA+i*8, r.Uint64()>>32)
 			}
 		})
-		ra := on.core.Run(entry, 3000)
-		rb := off.core.Run(entry, 3000)
+		ra := prod.core.Run(entry, 3000)
+		rb := ref.core.Run(entry, 3000)
 		if ra != rb {
-			t.Fatalf("run results diverged:\non:  %+v\noff: %+v", ra, rb)
+			t.Fatalf("run results diverged:\nproduction: %+v\nreference:  %+v", ra, rb)
 		}
 		for _, b := range churn {
 			pa := dataPA + uint64(b%16)*64
 			switch b % 3 {
 			case 0:
-				on.h.FlushData(pa)
-				off.h.FlushData(pa)
+				prod.h.FlushData(pa)
+				ref.h.FlushData(pa)
 			case 1:
-				on.h.AccessData(pa, true)
-				off.h.AccessData(pa, true)
+				prod.h.AccessData(pa, true)
+				ref.h.AccessData(pa, true)
 			case 2:
-				on.h.L1D.InvalidateAll()
-				off.h.L1D.InvalidateAll()
+				prod.h.L1D.InvalidateAll()
+				ref.h.L1D.InvalidateAll()
 			}
 		}
-		ra = on.core.Run(entry, 3000)
-		rb = off.core.Run(entry, 3000)
+		ra = prod.core.Run(entry, 3000)
+		rb = ref.core.Run(entry, 3000)
 		if ra != rb {
-			t.Fatalf("post-churn results diverged:\non:  %+v\noff: %+v", ra, rb)
+			t.Fatalf("post-churn results diverged:\nproduction: %+v\nreference:  %+v", ra, rb)
 		}
-		requireSameState(t, on, off, "after fuzz churn")
+		requireSameState(t, prod, ref, "after fuzz churn")
 	})
 }
 
@@ -209,7 +185,6 @@ func FuzzL0Differential(f *testing.F) {
 func TestL0TransientBypass(t *testing.T) {
 	w := newWorld()
 	secretPA := uint64(0x7000)
-	w.core.SetL0Enabled(true)
 	saved := w.core.l0d
 	// A transient load through the blessed accessor must leave the L0
 	// contents untouched even though it fills the L1.

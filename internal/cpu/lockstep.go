@@ -1,19 +1,22 @@
-// Lockstep differential oracle: run the same program on a threaded-engine
-// core and a pure-interpreter core and compare the full architectural and
-// timing state after every committed instruction. The threaded engine's
-// correctness contract is bit-exactness — not "same final answer" but the
-// same simulated machine at every instruction boundary — and this is the
-// instrument that checks it. Used by tests only; a core with no attached
-// StepTrace pays one nil check per instruction.
+// Lockstep differential oracle: run the same program on a production core
+// (decoded program attached: the DOp executor with its L0 line-lookaside)
+// and a reference core (no program: the memo-free reference interpreter)
+// and compare the full architectural and timing state after every
+// committed instruction. The executor's correctness contract is
+// bit-exactness — not "same final answer" but the same simulated machine at
+// every instruction boundary — and this is the instrument that checks it.
+// Used by tests only; a core with no attached StepTrace pays one nil check
+// per instruction.
 //
 // What the digest covers: everything that describes the simulated machine —
 // registers, the scoreboard (per-register ready times and taint horizons),
 // the clock, the speculation window, the commit front, call depth, and the
 // engine-invariant counters. What it deliberately excludes: Stats.Insts
-// (the threaded engine batches it per block, so it is transiently ahead of
-// the interpreter mid-block and reconciled at block exit) and the
-// host-side engine counters (ThreadedInsts, BBLookups, BBHits, BBChains),
-// which describe which engine executed, never the machine.
+// (the executor batches it per block, so it is transiently ahead of the
+// reference mid-block and reconciled at block exit) and the host-side
+// engine counters (ThreadedInsts, BBLookups, BBHits, BBChains), which
+// describe which engine executed, never the machine. The cache hierarchies
+// are compared once per run (Hierarchy.StateDigest), not per step.
 package cpu
 
 import (
@@ -157,7 +160,7 @@ func ExplainDivergence(c *Core, fast, ref *StepTrace, idx int) *Divergence {
 		d.PC = d.RefPC
 	}
 	d.Op = "<unfetchable>"
-	if in := c.fetch(d.PC); in != nil {
+	if in := c.Code.FetchInst(d.PC); in != nil {
 		dop := isa.DecodeInst(in, d.PC)
 		d.Op = dop.String()
 	}
@@ -166,32 +169,41 @@ func ExplainDivergence(c *Core, fast, ref *StepTrace, idx int) *Divergence {
 
 // LockstepReport is LockstepRun's outcome.
 type LockstepReport struct {
-	Steps           int // committed instructions compared
-	FastRes, RefRes RunResult
-	ResultsDiverged bool // RunResults differ (checked even when traces agree)
-	Div             *Divergence
+	Steps               int // committed instructions compared
+	FastRes, RefRes     RunResult
+	ResultsDiverged     bool // RunResults differ (checked even when traces agree)
+	Div                 *Divergence
+	FastCache, RefCache uint64 // Hierarchy.StateDigest after the run
 }
 
-// OK reports full equivalence: identical traces and identical RunResults.
-func (r *LockstepReport) OK() bool { return r.Div == nil && !r.ResultsDiverged }
+// OK reports full equivalence: identical traces, identical RunResults and
+// identical cache hierarchies.
+func (r *LockstepReport) OK() bool {
+	return r.Div == nil && !r.ResultsDiverged && r.FastCache == r.RefCache
+}
 
 func (r *LockstepReport) String() string {
-	if r.OK() {
+	switch {
+	case r.OK():
 		return fmt.Sprintf("lockstep: %d steps, equivalent", r.Steps)
-	}
-	if r.Div != nil {
+	case r.Div != nil:
 		return "lockstep: " + r.Div.String()
+	case r.ResultsDiverged:
+		return fmt.Sprintf("lockstep: traces agree (%d steps) but results diverged: threaded %+v, interpreted %+v",
+			r.Steps, r.FastRes, r.RefRes)
+	default:
+		return fmt.Sprintf("lockstep: traces agree (%d steps) but cache hierarchies diverged: threaded %#x, interpreted %#x",
+			r.Steps, r.FastCache, r.RefCache)
 	}
-	return fmt.Sprintf("lockstep: traces agree (%d steps) but results diverged: threaded %+v, interpreted %+v",
-		r.Steps, r.FastRes, r.RefRes)
 }
 
-// LockstepRun executes the same entry on two cores — fast with its threaded
-// source attached, ref purely interpretive — and compares per-instruction
-// state. The caller must have prepared both cores identically (same image,
-// same memory contents, same predictor state, same registers); LockstepRun
-// only drives and compares. Traces are attached for the duration and
-// detached before returning.
+// LockstepRun executes the same entry on two cores — fast with its decoded
+// program attached, ref with none (the reference interpreter) — and
+// compares per-instruction state, then the run results and the cache
+// hierarchies. The caller must have prepared both cores identically (same
+// image, same memory contents, same predictor state, same registers);
+// LockstepRun only drives and compares. Traces are attached for the
+// duration and detached before returning.
 func LockstepRun(fast, ref *Core, entry uint64, maxInsts int) LockstepReport {
 	var ft, rt StepTrace
 	fast.AttachStepTrace(&ft)
@@ -202,7 +214,8 @@ func LockstepRun(fast, ref *Core, entry uint64, maxInsts int) LockstepReport {
 	fres := fast.Run(entry, maxInsts)
 	rres := ref.Run(entry, maxInsts)
 
-	rep := LockstepReport{Steps: ft.Len(), FastRes: fres, RefRes: rres}
+	rep := LockstepReport{Steps: ft.Len(), FastRes: fres, RefRes: rres,
+		FastCache: fast.H.StateDigest(), RefCache: ref.H.StateDigest()}
 	if idx, ok := CompareStepTraces(&ft, &rt); !ok {
 		rep.Div = ExplainDivergence(fast, &ft, &rt, idx)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // flatten converts a mapCode into the contiguous (base, flat, valid) form
-// SetKernelText and bbcache.Build take.
+// bbcache.Build takes.
 func flatten(mc *mapCode) (uint64, []isa.Inst, []bool) {
 	var lo, hi uint64
 	first := true
@@ -36,25 +36,30 @@ func flatten(mc *mapCode) (uint64, []isa.Inst, []bool) {
 	return lo, flat, valid
 }
 
-// lockstepPair builds two independent but identical worlds from the same
-// construction function, attaches the decoded program to the first (the
-// threaded engine), and leaves the second purely interpretive. Placement
-// gaps make every placed region start a leader, so no explicit entry list
-// is needed.
-func lockstepPair(t *testing.T, build func(w *world)) (fast, ref *world) {
+// attachProgram decodes w's placed code and attaches it, making w a
+// production core (the DOp executor with its L0). Placement gaps make every
+// placed region start a leader, so no explicit entry list is needed.
+func attachProgram(t testing.TB, w *world) *bbcache.Program {
 	t.Helper()
-	fast, ref = newWorld(), newWorld()
-	build(fast)
-	build(ref)
-	base, flat, valid := flatten(fast.code)
-	fast.core.SetKernelText(base, flat, valid)
+	base, flat, valid := flatten(w.code)
 	prog := bbcache.Build(base, flat, valid, nil, 1)
 	if prog.NumBlocks() == 0 {
 		t.Fatal("no blocks decoded")
 	}
-	fast.core.SetThreadedSource(func() *bbcache.Program { return prog })
-	rbase, rflat, rvalid := flatten(ref.code)
-	ref.core.SetKernelText(rbase, rflat, rvalid)
+	w.core.SetThreadedSource(func() *bbcache.Program { return prog })
+	return prog
+}
+
+// lockstepPair builds two independent but identical worlds from the same
+// construction function, attaches the decoded program to the first (the
+// production executor), and leaves the second on the reference
+// interpreter.
+func lockstepPair(t testing.TB, build func(w *world)) (fast, ref *world) {
+	t.Helper()
+	fast, ref = newWorld(), newWorld()
+	build(fast)
+	build(ref)
+	attachProgram(t, fast)
 	return fast, ref
 }
 
@@ -137,9 +142,10 @@ func TestLockstepMispredictAndTransientPath(t *testing.T) {
 	}
 	fast, ref := lockstepPair(t, build)
 	// Train not-taken in lockstep, then mispredict: the squash window runs
-	// the wrong path on the interpreter in BOTH cores (the threaded engine
-	// never executes transient instructions), and its timing feeds back
-	// into committed state through specUntil and the caches.
+	// the wrong path through runTransient in BOTH cores (from decoded
+	// blocks in the production core, decoding each word in the reference),
+	// and its timing feeds back into committed state through specUntil and
+	// the caches.
 	for i := 0; i < 4; i++ {
 		fast.core.Regs[isa.R2] = 0
 		ref.core.Regs[isa.R2] = 0
@@ -220,33 +226,56 @@ func TestLockstepTruncation(t *testing.T) {
 	}
 }
 
-// The oracle must actually detect divergence: skew one core's initial
-// register state and demand a report pinned to the first instruction.
+// The oracle must actually detect divergence, pinned to the first
+// differing instruction: a skewed initial register, and a decoder bug — one
+// corrupted op in the production core's decoded program, which the
+// reference never sees because it interprets the isa.Inst words.
 func TestLockstepDetectsDivergence(t *testing.T) {
-	fast, ref := lockstepPair(t, func(w *world) {
-		a := isa.NewAsm()
-		a.Mov(isa.R1, isa.R5)
-		a.Halt()
-		w.code.place(entry, a.MustBuild())
-	})
-	fast.core.Regs[isa.R5] = 7
-	ref.core.Regs[isa.R5] = 8
-	rep := LockstepRun(fast.core, ref.core, entry, 100)
-	if rep.OK() {
-		t.Fatal("divergence not detected")
-	}
-	if rep.Div == nil {
-		t.Fatal("no divergence record")
-	}
-	if rep.Div.Index != 0 || rep.Div.PC != entry {
-		t.Errorf("divergence at step %d pc %#x, want step 0 pc %#x",
-			rep.Div.Index, rep.Div.PC, entry)
-	}
-	if rep.Div.Op == "" || rep.Div.Op == "<unfetchable>" {
-		t.Errorf("decoded op missing from report: %q", rep.Div.Op)
-	}
-	if !rep.ResultsDiverged {
-		t.Error("RunResult divergence not flagged")
+	for _, tc := range []struct {
+		name string
+		seed func(t *testing.T, fast, ref *world, prog *bbcache.Program)
+		step int
+	}{
+		{"register", func(_ *testing.T, fast, ref *world, _ *bbcache.Program) {
+			fast.core.Regs[isa.R5] = 7
+			ref.core.Regs[isa.R5] = 8
+		}, 0},
+		{"decoder", func(t *testing.T, _, _ *world, prog *bbcache.Program) {
+			op := &prog.BlockAt(entry).Ops[1]
+			if op.Kind != isa.DAddImm && op.Kind != isa.DAddImmZ {
+				t.Fatalf("op 1 decoded as %s, want an AddImm", op)
+			}
+			op.Imm++
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fast, ref := newWorld(), newWorld()
+			for _, w := range []*world{fast, ref} {
+				a := isa.NewAsm()
+				a.Mov(isa.R1, isa.R5)
+				a.AddImm(isa.R1, isa.R1, 8)
+				a.Halt()
+				w.code.place(entry, a.MustBuild())
+			}
+			tc.seed(t, fast, ref, attachProgram(t, fast))
+			rep := LockstepRun(fast.core, ref.core, entry, 100)
+			if rep.OK() {
+				t.Fatal("divergence not detected")
+			}
+			if rep.Div == nil {
+				t.Fatal("no divergence record")
+			}
+			if want := entry + uint64(tc.step)*isa.InstBytes; rep.Div.Index != tc.step || rep.Div.PC != want {
+				t.Errorf("divergence at step %d pc %#x, want step %d pc %#x",
+					rep.Div.Index, rep.Div.PC, tc.step, want)
+			}
+			if rep.Div.Op == "" || rep.Div.Op == "<unfetchable>" {
+				t.Errorf("decoded op missing from report: %q", rep.Div.Op)
+			}
+			if !rep.ResultsDiverged {
+				t.Error("RunResult divergence not flagged")
+			}
+		})
 	}
 }
 

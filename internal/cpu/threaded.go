@@ -1,32 +1,61 @@
-// Threaded execution engine: the fast path of Run. Committed-path kernel
-// code dispatches over the pre-decoded basic-block stream built by
-// internal/bbcache instead of fetching and decoding one instruction at a
-// time. Every op case below mirrors the corresponding interpreter case in
-// stepInterp float-operation-for-float-operation — same max() chains, same
-// policy consults, same cache accesses in the same order — so the two
-// engines produce bit-identical simulated state. The lockstep oracle
-// (LockstepRun) and FuzzBlockDecode enforce that equivalence continuously.
+// DOp executor: the committed-path engine of every production core. It
+// dispatches over the pre-decoded basic-block stream built by
+// internal/bbcache. Every op case below mirrors the corresponding case of
+// the reference interpreter (reference.go) float-operation-for-float-
+// operation — same max() chains, same policy consults, same cache accesses
+// in the same order — so the two produce bit-identical simulated state; the
+// lockstep oracle (LockstepRun) and FuzzBlockDecode enforce that.
 //
-// Fallback rule: the threaded engine only ever runs the *committed* path in
-// kernel mode. Wrong-path execution inside squash windows stays on the
-// interpreter (runTransient, reached through squashWindow exactly as
-// before), as does user code, any PC without a decoded leader block, and
-// any undecodable word. Falling back is always safe: the interpreter makes
-// progress one instruction at a time and the dispatch loop re-attaches at
-// the next decoded leader.
+// A PC no program block covers — user code, a non-leader, a block that
+// would cross the instruction budget, the word after a text gap or an
+// undecodable word — is fetched and decoded on the spot and run as a
+// one-op block through the same per-op body. Squash windows run
+// runTransient (through squashWindow), which walks the same blocks.
 package cpu
 
 import (
 	"repro/internal/bbcache"
-	"repro/internal/memsim"
 	"repro/internal/isa"
+	"repro/internal/memsim"
 )
 
 // SetThreadedSource installs the decoded-program source consulted at each
 // Run entry (kimage.Image.Decoded: rebuilds if the text version moved, else
-// returns the cached program). A nil source — the default — keeps the core
-// purely interpretive; tests use that for differential runs.
+// returns the cached program). A nil source — the default — selects the
+// reference interpreter; tests use that for differential runs.
 func (c *Core) SetThreadedSource(src func() *bbcache.Program) { c.progSrc = src }
+
+// fetchDecode fetches the word at pc through the code source and decodes it
+// into *op. It reports false on a fetch fault: an unmapped PC, or a
+// user-mode fetch of kernel text (SMEP). The executor's decode-one path and
+// runTransient's block misses share it.
+func (c *Core) fetchDecode(pc uint64, op *isa.DOp) bool {
+	inst := c.Code.FetchInst(pc)
+	if inst == nil || (!c.kernelMode && memsim.IsKernel(pc)) {
+		return false
+	}
+	*op = isa.DecodeInst(inst, pc)
+	return true
+}
+
+// decodeOne fetches and decodes the word at pc into the one-op scratch
+// block, or ends the run: at the instruction budget (the same instruction
+// the reference truncates at) or on a fetch fault. It returns nil when the
+// run ended.
+func (c *Core) decodeOne(pc uint64, maxInsts int, res *RunResult) *bbcache.Block {
+	if res.Insts >= uint64(maxInsts) {
+		res.Truncated = true
+		return nil
+	}
+	if !c.fetchDecode(pc, &c.one.Ops[0]) {
+		res.Fault = true
+		res.FaultPC = pc
+		c.Stats.Faults++
+		return nil
+	}
+	c.one.FallPC = pc + isa.InstBytes
+	return &c.one
+}
 
 // Scoreboard-invariant exploited throughout the dispatch loop: readyAt[R0]
 // and taintUntil[R0] are never written (every writeback site guards
@@ -37,19 +66,13 @@ func (c *Core) SetThreadedSource(src func() *bbcache.Program) { c.progSrc = src 
 // writeback tail: the *Z decode specializations compute the same floats
 // through the same operations, just with provably-zero Rs2 terms.
 
-// runThreaded executes decoded blocks starting at pc until the run ends
-// (returns 0, true), or until it must hand the PC back to the interpreter
-// (returns pc, false): BB-cache miss, undecodable word, or a block that
-// would cross the instruction budget (the interpreter owns truncation so
-// the cutoff lands on exactly the same instruction as before).
-func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunResult, baseDepth int) (uint64, bool) {
+// runThreaded executes committed instructions from pc until the run ends.
+// Program blocks come from the PC index (kernel mode only: user code is
+// never in the program) or from chained successor pointers; anything else
+// is decoded one op at a time. ThreadedInsts counts only instructions
+// retired from program blocks, and BBLookups/BBHits only PC-index probes.
+func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunResult, baseDepth int) {
 	prog := c.prog
-	c.Stats.BBLookups++
-	blk := prog.BlockAt(pc)
-	if blk == nil {
-		return pc, false
-	}
-	c.Stats.BBHits++
 	execDelay := float64(c.Cfg.ExecDelay)
 	// polUnsafe short-circuits the speculative-transmitter consult when the
 	// policy is the UNSAFE baseline: AllowAll.OnTransmit is stateless and
@@ -59,17 +82,32 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 	// consult — Perspective fills view caches inside OnTransmit.
 	_, polUnsafe := c.Policy.(AllowAll)
 
+	// blk is the block to run at pc, or nil to find one; probe says whether
+	// finding one may consult the PC index.
+	one := &c.one
+	var blk *bbcache.Block
+	probe := c.kernelMode
 	for {
-		ops := blk.Ops
-		if res.Insts+uint64(len(ops)) > uint64(maxInsts) {
-			return ops[0].PC, false
+		if blk == nil && probe {
+			c.Stats.BBLookups++
+			if blk = prog.BlockAt(pc); blk != nil {
+				c.Stats.BBHits++
+			}
 		}
+		if blk == nil || res.Insts+uint64(len(blk.Ops)) > uint64(maxInsts) {
+			if blk = c.decodeOne(pc, maxInsts, res); blk == nil {
+				return
+			}
+		}
+		ops := blk.Ops
 		// Counter batching: the whole block retires or the exit path
 		// reconciles, so the per-op loop touches no Stats fields for the
 		// common kinds.
 		res.Insts += uint64(len(ops))
 		c.Stats.Insts += uint64(len(ops))
-		c.Stats.ThreadedInsts += uint64(len(ops))
+		if blk != one {
+			c.Stats.ThreadedInsts += uint64(len(ops))
+		}
 		// Block entry: the previous fetch line is dynamic state, so the
 		// first op always takes the full line check; interior ops use the
 		// decode-time crossing flag.
@@ -360,14 +398,15 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 
 			case isa.DRet:
 				c.Stats.Branches++
+				resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
+				if c.specUntil < resolve {
+					c.specUntil = resolve
+				}
+				predicted, okP := c.BP.RAS.Pop()
 				if len(c.callStack) == baseDepth {
-					// Entry-frame return: ends the run (see the interpreter
+					// Entry-frame return: ends the run (see the reference
 					// case for the Retbleed window this opens).
-					resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
-					if c.specUntil < resolve {
-						c.specUntil = resolve
-					}
-					if predicted, okP := c.BP.RAS.Pop(); okP && predicted != 0 {
+					if okP && predicted != 0 {
 						c.Stats.Mispredicts++
 						c.squashWindow(op.PC, predicted, resolve)
 					}
@@ -378,11 +417,6 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				}
 				actual := c.callStack[len(c.callStack)-1]
 				c.callStack = c.callStack[:len(c.callStack)-1]
-				resolve := c.now + float64(c.Cfg.ExecDelay+c.H.L1Lat)
-				if c.specUntil < resolve {
-					c.specUntil = resolve
-				}
-				predicted, okP := c.BP.RAS.Pop()
 				if okP && predicted != actual {
 					c.Stats.Mispredicts++
 					c.squashWindow(op.PC, predicted, resolve)
@@ -400,11 +434,19 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				c.commit(c.now)
 				res.Ret = c.Regs[isa.R1]
 				stop = true
+
+			case isa.DBad:
+				// An undecodable word (decode-one only: program blocks never
+				// hold one) faults where it stands.
+				res.Fault = true
+				res.FaultPC = op.PC
+				c.Stats.Faults++
+				stop = true
 			}
 
 			if alu {
 				// Shared single-cycle ALU tail: writeback, readiness, taint
-				// propagation, commit — the interpreter's OpALU epilogue with
+				// propagation, commit — the reference's OpALU epilogue with
 				// the R0 reads folded away by the scoreboard invariant above.
 				startT := c.now
 				if r := c.readyAt[op.Rs1]; r > startT {
@@ -429,24 +471,22 @@ func (c *Core) runThreaded(pc uint64, maxInsts int, fetchSlot float64, res *RunR
 				c.stepHook(op.PC)
 			}
 			if stop {
-				return 0, true
+				return
 			}
 		}
 
-		if !haveNext {
-			// Straight-line run ended at a text gap or an undecodable
-			// word: the interpreter decides what happens at the next PC.
-			return ops[len(ops)-1].PC + isa.InstBytes, false
-		}
-		if nb == nil {
-			c.Stats.BBLookups++
-			if nb = prog.BlockAt(npc); nb == nil {
-				return npc, false
-			}
-			c.Stats.BBHits++
-		} else {
+		switch {
+		case !haveNext:
+			// Straight-line code ran on. After a program block that means a
+			// text gap or an undecodable word: decode it directly, without
+			// a PC-index probe.
+			pc, probe = ops[len(ops)-1].PC+isa.InstBytes, blk == one && c.kernelMode
+			blk = nil
+		case nb == nil:
+			pc, blk, probe = npc, nil, c.kernelMode
+		default:
 			c.Stats.BBChains++
+			pc, blk = npc, nb
 		}
-		blk = nb
 	}
 }

@@ -3,11 +3,8 @@ package cpu
 import (
 	"repro/internal/bbcache"
 	"repro/internal/isa"
-	"repro/internal/memsim"
 	"repro/internal/obs"
 )
-
-func memsimIsKernel(va uint64) bool { return memsim.IsKernel(va) }
 
 // runTransientChecked wraps runTransient with the squash-restoration
 // invariant: when a checker is installed, the architectural register file is
@@ -46,10 +43,10 @@ func (c *Core) runTransientChecked(pc uint64, budget int, shadowEnd float64, brP
 // program is attached and the core is in kernel mode, the wrong path walks
 // internal/bbcache's pre-decoded blocks read-only (decoding is pure, so a
 // DOp stream is observably identical to re-decoding each fetch — the
-// decoded-transient differential suite pins it); user mode, block misses,
-// and undecodable words fall back to fetch+DecodeInst one instruction at a
-// time. Policies, observation hooks, and squash semantics are exactly the
-// interpretive path's: only the decode work is hoisted.
+// decoded-transient differential suite pins it); user mode and block misses
+// decode one instruction at a time through fetchDecode, the executor's
+// decode-one helper. Policies, observation hooks, and squash semantics do
+// not depend on which tier supplied the op.
 func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 	if budget <= 0 {
 		return
@@ -105,11 +102,9 @@ func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 				}
 			}
 			if op == nil {
-				inst := c.fetch(pc)
-				if inst == nil || (!c.kernelMode && memsimIsKernel(pc)) {
+				if !c.fetchDecode(pc, &dec) {
 					return // transient fetch fault (or SMEP): quiet squash
 				}
-				dec = isa.DecodeInst(inst, pc)
 				op = &dec
 			}
 		}
@@ -233,7 +228,7 @@ func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 			if len(stack) > 0 {
 				next = stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-			} else if t, okR := peekRAS(c); okR {
+			} else if t, okR := c.BP.RAS.Peek(); okR {
 				next = t
 			} else {
 				return
@@ -248,8 +243,8 @@ func (c *Core) runTransient(pc uint64, budget int, shadowEnd float64) {
 			return
 
 		default:
-			// DBad: an undecodable word, exactly where the interpreter
-			// would fault. Quiet squash.
+			// DBad: an undecodable word, exactly where the committed
+			// path would fault. Quiet squash.
 			return
 		}
 		pc = next
@@ -365,9 +360,3 @@ func (c *Core) observeTransientLoad(pc, va, pa uint64, size uint8) {
 
 // rotl32 rotates by half a word — cheap operand mixing for the port event.
 func rotl32(v uint64) uint64 { return v<<32 | v>>32 }
-
-// peekRAS reads the RAS top without consuming it (wrong-path returns must
-// not corrupt the committed predictor state in this model).
-func peekRAS(c *Core) (uint64, bool) {
-	return c.BP.RAS.Peek()
-}

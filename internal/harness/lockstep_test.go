@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/cpu"
 	"repro/internal/kernel"
 	"repro/internal/lebench"
@@ -12,12 +13,13 @@ import (
 
 // This file is the machine-level arm of the lockstep differential oracle
 // (cpu.LockstepRun is the core-level arm): boot two machines identical in
-// every respect except that one has the threaded engine detached, drive
-// both through the same workload, and compare the full per-instruction
-// state stream plus the kernel state digest. A divergence report names the
-// first differing committed instruction and its decoded form.
+// every respect except that one has its decoded program detached — so its
+// core runs the memo-free reference interpreter — drive both through the
+// same workload, and compare the full per-instruction state stream plus
+// the kernel and cache-hierarchy state digests. A divergence report names
+// the first differing committed instruction and its decoded form.
 
-// lockstepKernels is a threaded/interpreted machine pair with step traces
+// lockstepKernels is a production/reference machine pair with step traces
 // attached.
 type lockstepKernels struct {
 	fast, ref *kernel.Kernel
@@ -35,7 +37,7 @@ func newLockstepKernels(t *testing.T, h *Harness, kind schemes.Kind) *lockstepKe
 		return k
 	}
 	lk := &lockstepKernels{fast: boot(), ref: boot()}
-	lk.ref.Core.SetThreadedSource(nil) // the reference interprets everything
+	lk.ref.Core.SetThreadedSource(nil) // the reference interpreter runs everything
 	lk.fast.Core.AttachStepTrace(&lk.ft)
 	lk.ref.Core.AttachStepTrace(&lk.rt)
 	return lk
@@ -61,9 +63,11 @@ func (lk *lockstepKernels) check(t *testing.T, label string) {
 }
 
 // finish runs the end-of-drive invariants: the comparison must not have
-// been vacuous (the fast machine really used the threaded engine, the
-// reference really did not), the kernel state digests must agree, and the
-// two simulated clocks must be bit-identical.
+// been vacuous (the fast machine really ran program blocks, the reference
+// really did not), the kernel and cache-hierarchy state digests must agree
+// (the step digest covers the core alone, so an L0 that left the caches in
+// another state shows up only here), and the two simulated clocks must be
+// bit-identical.
 func (lk *lockstepKernels) finish(t *testing.T, label string) {
 	t.Helper()
 	lk.check(t, label+": trailing steps")
@@ -75,6 +79,9 @@ func (lk *lockstepKernels) finish(t *testing.T, label string) {
 	}
 	if fd, rd := lk.fast.StateDigest(), lk.ref.StateDigest(); fd != rd {
 		t.Errorf("%s: kernel state digests diverged: threaded %#x, interpreted %#x", label, fd, rd)
+	}
+	if fd, rd := lk.fast.Core.H.StateDigest(), lk.ref.Core.H.StateDigest(); fd != rd {
+		t.Errorf("%s: cache hierarchy digests diverged: threaded %#x, interpreted %#x", label, fd, rd)
 	}
 	if fn, rn := lk.fast.Core.Now(), lk.ref.Core.Now(); math.Float64bits(fn) != math.Float64bits(rn) {
 		t.Errorf("%s: clocks diverged: threaded %v, interpreted %v", label, fn, rn)
@@ -132,6 +139,44 @@ func (lk *lockstepKernels) driveCensus(t *testing.T, h *Harness, n int) {
 	}
 }
 
+// drivePassiveV2 runs the passive Spectre-v2 PoC for one byte on both
+// machines. Its attacker trains the BTB from user mode through RunUser, so
+// the executor's user-mode decode-one path, the training branch and the
+// SMEP fetch fault that ends each training run are all under the oracle,
+// followed by the hijacked kernel victim calls.
+func (lk *lockstepKernels) drivePassiveV2(t *testing.T) {
+	t.Helper()
+	const secret = 0x5a
+	var got [2]attack.Result
+	for i, k := range []*kernel.Kernel{lk.fast, lk.ref} {
+		victim, err := k.CreateProcess("victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		attacker, err := k.CreateProcess("attacker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		secretVA, err := attack.PlantSecret(k, victim, []byte{secret})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i], err = attack.PassiveSpectreV2(k, victim, attacker, secretVA, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lk.check(t, "passive-spectre-v2")
+	// Under UNSAFE the hijacked window leaks the byte on both machines; a
+	// miss means the window the oracle was meant to cover never opened.
+	if got[0].Recovered[0] != secret || got[1].Recovered[0] != secret {
+		t.Errorf("passive-spectre-v2: recovered %#x threaded, %#x interpreted, want %#x",
+			got[0].Recovered[0], got[1].Recovered[0], secret)
+	}
+	if lk.fast.Core.Stats.Faults == 0 {
+		t.Error("passive-spectre-v2: no SMEP fetch fault — user-mode training never ran")
+	}
+}
+
 // TestLockstepSmoke is the bounded oracle run wired into `make check`: one
 // scheme, a slice of LEBench, one census gadget.
 func TestLockstepSmoke(t *testing.T) {
@@ -160,11 +205,23 @@ func TestLockstepLEBenchSuite(t *testing.T) {
 	}
 }
 
+// TestLockstepUserMode drives the user-mode arm of a Spectre-v2 PoC under
+// the unprotected baseline, where the hijacked window really leaks. Wired
+// into `make lockstepsmoke`.
+func TestLockstepUserMode(t *testing.T) {
+	h := relsecHarness()
+	lk := newLockstepKernels(t, h, schemes.Unsafe)
+	defer lk.release()
+	lk.drivePassiveV2(t)
+	lk.finish(t, "user-mode")
+}
+
 // TestLockstepCensusSample drives a census-gadget sample — transient
 // windows, planted secrets, flush+reload probes — under the same scheme
-// classes. Wrong-path execution stays on the interpreter in both machines
-// by design; what this checks is that the committed-path stream around
-// every squash window is identical.
+// classes. Wrong-path execution runs through runTransient in both machines
+// (from decoded blocks in one, decoding each word in the other), and its
+// effects feed back into the committed-path stream this compares around
+// every squash window.
 func TestLockstepCensusSample(t *testing.T) {
 	h := relsecHarness()
 	for _, kind := range []schemes.Kind{schemes.Unsafe, schemes.Fence, schemes.Perspective} {

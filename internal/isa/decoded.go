@@ -22,9 +22,8 @@ type DKind uint8
 
 const (
 	// DBad marks an undecodable word (an Op outside the ISA). The block
-	// builder terminates decoding at it and never emits it into a block:
-	// the executor hands the PC back to the interpreter, which faults on
-	// it exactly as it always has.
+	// builder terminates decoding at it and never emits it into a block;
+	// the executor reaches it only by decoding one word, and faults on it.
 	DBad DKind = iota
 	// DNop does nothing.
 	DNop
@@ -239,7 +238,7 @@ func (d *DOp) Reencode() Inst {
 	case DHalt:
 		in.Op = OpHalt
 	default:
-		in.Op = Op(255) // DBad: an op the interpreter faults on
+		in.Op = Op(255) // DBad: an op every engine faults on
 	}
 	return in
 }

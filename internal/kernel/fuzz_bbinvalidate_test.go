@@ -8,14 +8,14 @@ import (
 	"repro/internal/kimage"
 )
 
-// FuzzBBInvalidate attacks the threaded engine's invalidation protocol: two
-// kernels boot over the SAME image — one threaded, one purely interpretive —
-// and the input script interleaves live text mutation (PatchInst /
-// SetInstValid on syscall-path functions) with syscalls driven identically
-// on both machines. The interpreter reads the patched words directly, so if
-// the threaded engine ever dispatches a stale decoded block after a version
-// bump, the two machines' results, instruction counts, clocks, or state
-// digests split. Each iteration undoes its patches, so corpus entries
+// FuzzBBInvalidate attacks the executor's invalidation protocol: two
+// kernels boot over the SAME image — one with the decoded program attached,
+// one on the reference interpreter — and the input script interleaves live
+// text mutation (PatchInst / SetInstValid on syscall-path functions) with
+// syscalls driven identically on both machines. The reference reads the
+// patched words directly, so if the executor ever dispatches a stale
+// decoded block after a version bump, the two machines' results,
+// instruction counts, clocks, or state digests split. Each iteration undoes its patches, so corpus entries
 // replay independently of each other.
 
 // fuzzInvImg is the dedicated mutable image (never testImg: other tests in
@@ -75,8 +75,9 @@ func FuzzBBInvalidate(f *testing.F) {
 		}
 
 		// Undo log: restore every touched slot (reverse order) when the
-		// iteration ends, however it ends.
-		base, flat, valid := img.Text()
+		// iteration ends, however it ends. An unmapped slot records no
+		// word: it was unmapped earlier in this iteration, and the earlier
+		// record holds the as-linked word.
 		type slotRec struct {
 			va    uint64
 			in    isa.Inst
@@ -84,8 +85,8 @@ func FuzzBBInvalidate(f *testing.F) {
 		}
 		var undo []slotRec
 		record := func(va uint64) {
-			idx := int(va-base) / isa.InstBytes
-			undo = append(undo, slotRec{va, flat[idx], valid[idx]})
+			in, ok := img.FetchInst(va)
+			undo = append(undo, slotRec{va, in, ok})
 		}
 		defer func() {
 			for i := len(undo) - 1; i >= 0; i-- {

@@ -162,10 +162,9 @@ func (k *Kernel) wireHardware() {
 	k.Mem = &memsim.Mem{Phys: k.Phys, Tr: &memsim.FixedTranslator{Size: k.Phys.Bytes(), AllowKernel: true}}
 	h := cache.NewDefaultHierarchy()
 	k.Core = cpu.New(cpu.DefaultConfig(), &codeSource{k: k}, k.Mem, h, predict.New())
-	k.Core.SetKernelText(k.Img.Text())
-	// Attach the pre-decoded program source: the threaded engine re-checks
-	// the image's text version at every Run entry, so text patches
-	// invalidate cleanly (see kimage/decoded.go).
+	// Attach the pre-decoded program source: the executor re-checks the
+	// image's text version at every Run entry, so text patches invalidate
+	// cleanly (see kimage/decoded.go).
 	k.Core.SetThreadedSource(k.Img.Decoded)
 	k.Trace = ktrace.New(k.Img, func() sec.Ctx { return k.Core.Ctx() })
 	k.Core.Tracer = k.Trace

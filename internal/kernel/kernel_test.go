@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/kimage"
 	"repro/internal/memsim"
 	"repro/internal/sec"
@@ -494,5 +495,48 @@ func TestSeccompInterposition(t *testing.T) {
 	q := mustProc(t, k, "free")
 	if _, err := k.Syscall(q, kimage.NROpen); err != nil {
 		t.Errorf("unfiltered process blocked: %v", err)
+	}
+}
+
+// TestUndecodableWordFault patches an undecodable word into the getpid
+// handler and checks that both committed-path engines — the executor and
+// the reference interpreter — report the fault at that word: one handler
+// fault, LastFault naming its PC, and one core fault.
+func TestUndecodableWordFault(t *testing.T) {
+	img := kimage.MustBuild(kimage.TestSpec()) // patched: never testImg
+	fn := img.SyscallEntry(kimage.NRGetpid)
+	if fn == nil || len(fn.Code) < 2 {
+		t.Fatal("getpid handler missing or too short")
+	}
+	bad := fn.VA + isa.InstBytes
+	if err := img.PatchInst(bad, isa.Inst{Op: isa.Op(255)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, threaded := range []bool{true, false} {
+		k, err := New(DefaultConfig(), img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !threaded {
+			k.Core.SetThreadedSource(nil)
+		}
+		p := mustProc(t, k, "bad")
+		hf, cf := k.Stats.HandlerFaults, k.Core.Stats.Faults
+		if _, err := k.Syscall(p, kimage.NRGetpid); err != nil {
+			t.Fatal(err)
+		}
+		if got := k.Stats.HandlerFaults - hf; got != 1 {
+			t.Errorf("threaded=%v: handler faults = %d, want 1", threaded, got)
+		}
+		if got := k.LastFault(); got.PC != bad || got.Entry != fn.VA {
+			t.Errorf("threaded=%v: last fault = %+v, want PC %#x entry %#x", threaded, got, bad, fn.VA)
+		}
+		if got := k.Core.Stats.Faults - cf; got != 1 {
+			t.Errorf("threaded=%v: core faults = %d, want 1", threaded, got)
+		}
+		if threaded == (k.Core.Stats.ThreadedInsts == 0) {
+			t.Errorf("threaded=%v: ThreadedInsts = %d", threaded, k.Core.Stats.ThreadedInsts)
+		}
+		k.Release()
 	}
 }

@@ -8,15 +8,16 @@
 //     API) are called only from the L0 accessors. CommitHit mutates cache
 //     state on the caller's claim that a generation-checked entry is valid;
 //     a call from anywhere else has no such proof.
-//  2. The L0 accessors themselves are called only from the committed-path
-//     engines: stepInterp, runThreaded, and fetchTimingLine. A transient
-//     path reaching the L0 would route a wrong-path access around the
-//     DSV/ISV defenses — exactly the bypass specgate exists to prevent —
-//     and would also apply the wrong LRU transition (transient fills defer
-//     their LRU update).
-//  3. The micro-cache state (Core.l0d, Core.l0i, Core.l0off) is touched
-//     only by those accessors and the SetL0Enabled lifecycle switch, so no
-//     new code path can consult or populate the tables ad hoc.
+//  2. The L0 accessors themselves are called only from the executor's
+//     committed path: runThreaded and fetchTimingLine. A transient path
+//     reaching the L0 would route a wrong-path access around the DSV/ISV
+//     defenses — exactly the bypass specgate exists to prevent — and would
+//     also apply the wrong LRU transition (transient fills defer their LRU
+//     update). The reference interpreter is not on the list either: the
+//     lockstep oracle checks the L0 against it, so it must not use one.
+//  3. The micro-cache state (Core.l0d, Core.l0i) is touched only by those
+//     accessors, so no new code path can consult or populate the tables ad
+//     hoc.
 //
 // GenAt is deliberately not gated: it is a pure observation (tests and
 // differential suites read it freely), and on its own it can neither mutate
@@ -42,33 +43,24 @@ var Analyzer = &analysis.Analyzer{
 // L0Accessors are the blessed micro-cache accessors in internal/cpu/l0.go,
 // as "pkg.Type.Func". Only they may call the cache re-hit API.
 var L0Accessors = map[string]bool{
-	"cpu.Core.l0Data":        true,
 	"cpu.Core.l0DataFast":    true,
 	"cpu.Core.l0DataSlow":    true,
 	"cpu.Core.l0Inst":        true,
 	"cpu.Core.l0InstInstall": true,
 }
 
-// CommittedCallers are the committed-path engines allowed to consult the L0
-// (plus l0Data, which dispatches to its own Fast/Slow halves).
+// CommittedCallers are the committed-path functions allowed to consult the
+// L0.
 var CommittedCallers = map[string]bool{
-	"cpu.Core.stepInterp":      true,
 	"cpu.Core.runThreaded":     true,
 	"cpu.Core.fetchTimingLine": true,
-	"cpu.Core.l0Data":          true,
-}
-
-// stateOwners may touch the Core.l0d/l0i/l0off state directly: the accessors
-// and the lifecycle switch.
-var stateOwners = map[string]bool{
-	"cpu.Core.SetL0Enabled": true,
 }
 
 // rehitAPI is the cache re-hit surface rule 1 confines.
 var rehitAPI = map[string]bool{"CommitHit": true, "MRUSlot": true}
 
 // l0State is the micro-cache state surface rule 3 confines.
-var l0State = map[string]bool{"l0d": true, "l0i": true, "l0off": true}
+var l0State = map[string]bool{"l0d": true, "l0i": true}
 
 func run(pass *analysis.Pass) error {
 	parts := strings.Split(pass.Pkg.Path(), "/")
@@ -136,9 +128,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.SelectorExpr:
-			// Rule 3: the l0 state fields stay inside the accessors and the
-			// lifecycle switch.
-			if !l0State[n.Sel.Name] || isAccessor || stateOwners[name] {
+			// Rule 3: the l0 state fields stay inside the accessors.
+			if !l0State[n.Sel.Name] || isAccessor {
 				return true
 			}
 			sel, ok := pass.TypesInfo.Selections[n]
@@ -147,7 +138,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			}
 			if v, ok := sel.Obj().(*types.Var); ok && v.Pkg() != nil && pkgBase(v.Pkg()) == "cpu" {
 				pass.Reportf(n.Pos(),
-					"L0 micro-cache state %s touched in %s: the tables are private to the accessors in internal/cpu/l0.go and SetL0Enabled",
+					"L0 micro-cache state %s touched in %s: the tables are private to the accessors in internal/cpu/l0.go",
 					n.Sel.Name, name)
 			}
 		}

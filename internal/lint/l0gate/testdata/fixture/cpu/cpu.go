@@ -1,6 +1,7 @@
 // Package cpu exercises the L0 confinement gate: the blessed accessors and
-// committed-path engines pass, everything else touching the micro-cache or
-// the cache re-hit API is flagged.
+// the executor's committed path pass, everything else touching the
+// micro-cache or the cache re-hit API is flagged — the reference
+// interpreter included.
 package cpu
 
 import "fixture/cache"
@@ -15,17 +16,9 @@ type Core struct {
 	L1D, L1I *cache.Cache
 	l0d      [4]l0Entry
 	l0i      [4]l0Entry
-	l0off    bool
 }
 
-// SetL0Enabled is the lifecycle switch: may touch the state, nothing else.
-func (c *Core) SetL0Enabled(on bool) {
-	c.l0off = !on
-	c.l0d = [4]l0Entry{}
-	c.l0i = [4]l0Entry{}
-}
-
-// The five blessed accessors: state and re-hit API used freely.
+// The four blessed accessors: state and re-hit API used freely.
 
 func (c *Core) l0DataFast(pa uint64) int {
 	e := &c.l0d[pa%4]
@@ -38,20 +31,10 @@ func (c *Core) l0DataFast(pa uint64) int {
 
 func (c *Core) l0DataSlow(pa uint64) int {
 	c.L1D.Access(pa, true)
-	if c.l0off {
-		return 2
-	}
 	if slot, ok := c.L1D.MRUSlot(pa); ok {
 		c.l0d[pa%4] = l0Entry{line: pa + 1, gen: c.L1D.GenAt(pa), slot: slot}
 	}
 	return 2
-}
-
-func (c *Core) l0Data(pa uint64) int {
-	if lat := c.l0DataFast(pa); lat >= 0 {
-		return lat
-	}
-	return c.l0DataSlow(pa)
 }
 
 func (c *Core) l0Inst(la uint64) bool {
@@ -69,9 +52,7 @@ func (c *Core) l0InstInstall(la uint64) {
 	}
 }
 
-// The committed-path engines may consult the accessors.
-
-func (c *Core) stepInterp(pa uint64) int { return c.l0Data(pa) }
+// The executor's committed path may consult the accessors.
 
 func (c *Core) runThreaded(pa uint64) int {
 	lat := c.l0DataFast(pa)
@@ -95,7 +76,17 @@ func (c *Core) specLoad(pa uint64) int {
 	if e := c.l0d[pa%4]; e.line == pa+1 { // want `L0 micro-cache state l0d touched in cpu\.Core\.specLoad`
 		return 2
 	}
-	return c.l0Data(pa) // want `L0 accessor l0Data called in cpu\.Core\.specLoad outside the committed path`
+	return c.l0DataSlow(pa) // want `L0 accessor l0DataSlow called in cpu\.Core\.specLoad outside the committed path`
+}
+
+// stepRef models the reference interpreter reaching for the memo it is
+// meant to check independently.
+func (c *Core) stepRef(pa uint64) int {
+	if lat := c.l0DataFast(pa); lat >= 0 { // want `L0 accessor l0DataFast called in cpu\.Core\.stepRef outside the committed path`
+		return lat
+	}
+	c.L1D.Access(pa, true)
+	return 2
 }
 
 // prefetcher models new code re-hitting slots without a generation proof.
@@ -109,5 +100,5 @@ func (c *Core) prefetcher(pa uint64) {
 // debugDump carries the escape hatch with a reason.
 func (c *Core) debugDump() bool {
 	//lint:allow l0gate -- fixture: diagnostics dump, never on the simulated path
-	return c.l0off
+	return c.l0i[0].line != 0
 }

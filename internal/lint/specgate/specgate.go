@@ -9,9 +9,13 @@
 //
 // Blessed accessors (see DESIGN.md §8 for the completeness argument):
 //
-//	(*cpu.Core).Run      — the architectural execute loop; every shadowed
-//	                       transmitter is routed through Policy.OnTransmit
-//	                       before its data read.
+//	(*cpu.Core).runThreaded
+//	                     — the DOp executor, every production core's
+//	                       committed path; every shadowed transmitter is
+//	                       routed through Policy.OnTransmit before its data
+//	                       read.
+//	(*cpu.Core).stepRef  — the reference interpreter's per-instruction body,
+//	                       with the same consult order.
 //	(*cpu.Core).specLoad — the single transient-path data accessor; it
 //	                       performs the policy check, the wrong-path cache
 //	                       fill, and the security-checker report in order.
@@ -51,17 +55,16 @@ var readAccessors = map[string]map[string]bool{
 // directly, as "pkg.Type.Func" (receiver pointer stripped). It is
 // deliberately tiny: everything else must route through these.
 var Blessed = map[string]bool{
-	"cpu.Core.Run": true,
-	// stepInterp is Run's extracted per-instruction body (the interpretive
-	// engine); Run now only alternates it with the threaded engine.
-	"cpu.Core.stepInterp": true,
-	// runThreaded is the decoded-stream engine's committed-path executor.
-	// Its loads run the same DSV/ISV policy consult as stepInterp's and it
-	// never executes inside a transient window (the dispatcher falls back
-	// to the interpreter there), so its direct read carries the identical
-	// check obligations as Run's — enforced by the lockstep oracle.
+	// runThreaded is the DOp executor, the committed path of every
+	// production core. It never executes inside a transient window (squash
+	// windows run runTransient, whose loads go through specLoad).
 	"cpu.Core.runThreaded": true,
-	"cpu.Core.specLoad":    true,
+	// stepRef is the reference interpreter's per-instruction body (Run
+	// selects it only when no decoded program is attached). Its loads run
+	// the same DSV/ISV policy consult as the executor's, in the same order
+	// — enforced by the lockstep oracle.
+	"cpu.Core.stepRef":  true,
+	"cpu.Core.specLoad": true,
 	// The obs hook reads the just-allowed load's value for the trace's
 	// undigested annotation; specLoad has already run the policy check by
 	// the time it is called.

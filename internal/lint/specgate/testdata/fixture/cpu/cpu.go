@@ -6,11 +6,9 @@ import "fixture/memsim"
 
 type Core struct{ Mem *memsim.Mem }
 
-// Run is blessed (the architectural execute loop).
+// Run only selects an engine; it is no longer blessed to read memory.
 func (c *Core) Run(pa uint64) uint64 {
-	v := c.Mem.LoadPA(pa, 8)
-	f := func() uint64 { return c.Mem.Phys.Read64(pa) } // closure inside a blessed accessor
-	return v + f()
+	return c.Mem.LoadPA(pa, 8) // want `direct memsim\.Mem\.LoadPA read`
 }
 
 // specLoad is blessed (the transient-path accessor).
@@ -18,16 +16,17 @@ func (c *Core) specLoad(pa uint64) uint64 {
 	return c.Mem.Phys.Read64(pa)
 }
 
-// stepInterp is blessed (Run's extracted interpretive engine).
-func (c *Core) stepInterp(pa uint64) uint64 {
+// stepRef is blessed (the reference interpreter's per-instruction body).
+func (c *Core) stepRef(pa uint64) uint64 {
 	return c.Mem.LoadPA(pa, 8)
 }
 
-// runThreaded is blessed (the decoded-stream engine's committed-path
-// executor, policy-checked like stepInterp and interpreter-backed inside
-// transient windows).
+// runThreaded is blessed (the DOp executor, every production core's
+// committed path).
 func (c *Core) runThreaded(pa uint64) uint64 {
-	return c.Mem.LoadPA(pa, 8)
+	v := c.Mem.LoadPA(pa, 8)
+	f := func() uint64 { return c.Mem.Phys.Read64(pa) } // closure inside a blessed accessor
+	return v + f()
 }
 
 // runTransient models a new speculation feature bypassing the check API.
